@@ -314,8 +314,7 @@ def kfold_split(n: int, k: int, seed: int) -> FoldAssignment:
     check_seed(seed)
     perm = make_rng(seed).permutation(n)
     fold_of = np.empty(n, dtype=np.int64)
-    for pos, idx in enumerate(perm):
-        fold_of[idx] = pos % k
+    fold_of[perm] = np.arange(n) % k
     return FoldAssignment(k=k, fold_of=fold_of)
 
 

@@ -39,6 +39,8 @@ def _decode_array(text: str, size: int, what: str) -> np.ndarray:
         raise ModelFormatError(
             f"{what}: expected {size} float64 values, got {arr.size}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ModelFormatError(f"{what}: non-finite value in payload")
     return arr.astype(np.float64)
 
 
@@ -78,9 +80,9 @@ def load_model(path) -> tuple[Network, Normalizer, dict]:
     """Read a model document back; bit-exact inverse of save_model.
 
     Raises ModelFormatError on corrupt JSON (with the byte offset), on a
-    format version this build does not read, and on any payload whose
-    shape disagrees with the declared layer specs. A failed load never
-    returns a partial model.
+    format version this build does not read, on any payload whose shape
+    disagrees with the declared layer specs, and on NaN or infinite
+    values. A failed load never returns a partial model.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()

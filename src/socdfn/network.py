@@ -20,6 +20,8 @@ from .rng import make_rng
 
 ACTIVATIONS = ("relu", "linear")
 LOSS_KINDS = ("mse", "mae")
+# Rows per inference block in predict(): 8192 x 256 float64 is 16 MB.
+INFERENCE_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,8 @@ def forward(
 
     In train mode, dropout masks are drawn from dropout_rng unless an
     explicit mask list (as recorded in a previous cache) is supplied for
-    replay. Inference mode is a pure function of (net, x).
+    replay. Inference mode is a pure function of (net, x); its cache
+    holds no per-layer arrays.
     """
     if mode not in ("train", "inference"):
         raise ConfigError(f"mode must be 'train' or 'inference', got {mode!r}")
@@ -214,12 +217,20 @@ def forward(
     cache = ForwardCache(mode=mode, net=net, net_version=net.version)
     a = x
     for li, spec in enumerate(net.layers):
+        z = a @ net.weights[li]
+        z += net.biases[li]
+        if mode == "inference":
+            # Nothing replays an inference pass: activate in place and
+            # keep no per-layer arrays.
+            if spec.activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            a = z
+            continue
         cache.inputs.append(a)
-        z = a @ net.weights[li] + net.biases[li]
         cache.pre_acts.append(z)
         a = np.maximum(z, 0.0) if spec.activation == "relu" else z
         mask = None
-        if mode == "train" and spec.dropout_after > 0.0:
+        if spec.dropout_after > 0.0:
             keep = 1.0 - spec.dropout_after
             if dropout_masks is not None:
                 mask = dropout_masks[li]
@@ -334,8 +345,16 @@ def backward(
 
 
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
-    """Inference-mode forward on an already-normalized feature matrix."""
-    pred, _ = forward(net, x, mode="inference")
+    """Inference-mode forward on an already-normalized feature matrix.
+
+    Runs in blocks of INFERENCE_BLOCK_ROWS rows, so the hidden-layer
+    activations held at once stay a few MB whatever the row count.
+    """
+    x = _check_input(net, x)
+    pred = np.empty(x.shape[0], dtype=np.float64)
+    for start in range(0, x.shape[0], INFERENCE_BLOCK_ROWS):
+        stop = start + INFERENCE_BLOCK_ROWS
+        pred[start:stop], _ = forward(net, x[start:stop], mode="inference")
     return pred
 
 
@@ -354,4 +373,4 @@ def predict_soc(net: Network, norm: Normalizer, raw) -> np.ndarray:
     if x.size == 0:
         raise ConfigError("no records to predict on")
     pred = predict(net, normalize_features(norm, x))
-    return np.clip(pred, 0.0, 100.0)
+    return np.clip(pred, 0.0, 100.0, out=pred)

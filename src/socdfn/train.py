@@ -8,7 +8,10 @@ the epoch. Losses include the L1/L2 penalty on both sides; MAE columns
 are pure mean absolute error in SOC percentage points.
 """
 
+import contextlib
+import ctypes
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -218,6 +221,56 @@ def _run_fold(
     return history
 
 
+def _openblas_thread_fns():
+    """(set, get) of the thread count of the OpenBLAS numpy links, or None.
+
+    Looked up in numpy's BLAS-linked extension module; dlsym on its
+    handle also searches the libraries it depends on. Other BLAS builds
+    (MKL, Accelerate) and platforms without these symbols give None.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads_per_worker(workers: int):
+    """Share the cores among `workers` threads that each call BLAS.
+
+    Without this every fold thread's matmuls start OpenBLAS's full
+    thread team, and the teams fight over the same cores. The count is
+    process-wide, so it is put back when the block exits, normally or
+    by an exception.
+    """
+    fns = _openblas_thread_fns()
+    if fns is None:
+        yield
+        return
+    set_threads, get_threads = fns
+    previous = get_threads()
+    set_threads(max(1, (os.cpu_count() or 1) // workers))
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
 def cross_validate(
     pool: Dataset,
     specs,
@@ -230,13 +283,20 @@ def cross_validate(
 
     The fold score is the final-epoch validation MAE; the best epoch's
     value is reported alongside. Folds are independent, so jobs > 1 runs
-    them in a thread pool without changing any result.
+    them in a thread pool. While the pool runs, OpenBLAS gets
+    cpu_count // workers threads per worker. Its threaded matrix-vector
+    product can round the last bit of a prediction differently at
+    another thread count, so a score can, rarely, differ from the
+    jobs=1 value in its last bit.
     """
     check_seed(seed)
     assignment = kfold_split(len(pool), k, seed)
     folds = range(k)
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, k)) as pool_exec:
+        workers = min(jobs, k)
+        with _blas_threads_per_worker(workers), ThreadPoolExecutor(
+            max_workers=workers
+        ) as pool_exec:
             histories = list(
                 pool_exec.map(
                     lambda j: _run_fold(pool, assignment, j, specs, cfg, seed), folds

@@ -8,7 +8,7 @@ import pytest
 from conftest import run_cli
 
 from socdfn.data import load_csv
-from socdfn.modelio import load_model
+from socdfn.modelio import load_model, save_model
 
 TRAIN_LINE = re.compile(
     r"^epochs=(\d+) train_mae=(\d+\.\d{6}) val_mae=(\d+\.\d{6}) "
@@ -344,6 +344,19 @@ class TestPredict:
                  "--out", str(out)])
         values = [float(l.split(",")[1]) for l in out.read_text().splitlines()[1:]]
         assert all(0.0 <= v <= 100.0 for v in values)
+
+    def test_nan_weight_model_exit_4(self, trained, tmp_path):
+        model, test_csv = trained
+        net, norm, meta = load_model(model)
+        net.weights[0][0, 0] = float("nan")
+        bad = tmp_path / "nan.json"
+        save_model(net, norm, bad, meta)
+        out = tmp_path / "pred.csv"
+        code, _, err = run_cli(["predict", "--model", str(bad), "--data",
+                                str(test_csv), "--out", str(out)])
+        assert code == 4
+        assert "non-finite" in err
+        assert not out.exists()
 
 
 class TestParser:

@@ -156,6 +156,27 @@ class TestLoadModelErrors:
         with pytest.raises(ModelFormatError, match="std entries must be positive"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "poison, what",
+        [
+            (lambda net, norm: net.weights[0].__setitem__((0, 0), math.nan),
+             "layer 0 weights"),
+            (lambda net, norm: net.biases[1].__setitem__(0, math.inf),
+             "layer 1 biases"),
+            (lambda net, norm: norm.mean.__setitem__(2, -math.inf),
+             "normalizer mean"),
+            (lambda net, norm: norm.std.__setitem__(1, math.inf),
+             "normalizer std"),
+        ],
+    )
+    def test_non_finite_payload_rejected(self, tmp_path, poison, what):
+        net, norm = example_model()
+        poison(net, norm)
+        path = tmp_path / "model.json"
+        save_model(net, norm, path)
+        with pytest.raises(ModelFormatError, match=f"{what}: non-finite"):
+            load_model(path)
+
     def test_no_layers(self, tmp_path):
         path = self.write_doc(tmp_path, lambda d: d.update(layers=[]))
         with pytest.raises(ModelFormatError, match="no layers"):

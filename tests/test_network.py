@@ -2,11 +2,14 @@
 backward pass against a finite-difference oracle, dropout behaviour,
 initialization statistics and the cache-staleness contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import fd_gradient
 
 from socdfn.data import Dataset, Normalizer, SampleRecord
+from socdfn import network
 from socdfn.errors import ConfigError, ContractError, ShapeError
 from socdfn.network import (
     ForwardCache,
@@ -163,6 +166,28 @@ class TestForward:
         a = predict(net, x)
         b = predict(net, x)
         np.testing.assert_array_equal(a, b)
+
+    def test_inference_cache_holds_no_layer_arrays(self):
+        net = init_network(make_specs(2, 8, 0.0), seed=3)
+        _, cache = forward(net, make_rng(1).normal(size=(5, 3)))
+        assert cache.mode == "inference"
+        assert cache.inputs == [] and cache.pre_acts == []
+
+    def test_predict_runs_in_row_blocks(self, monkeypatch):
+        net = init_network(make_specs(2, 256, 0.0), seed=3)
+        x = make_rng(1).normal(size=(4000, 3))
+        whole = predict(net, x)
+        monkeypatch.setattr(network, "INFERENCE_BLOCK_ROWS", 128)
+        tracemalloc.start()
+        try:
+            blocked = predict(net, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
+        # Two 128 x 256 float64 activations are 0.5 MB; one whole-batch
+        # activation is 8 MB.
+        assert peak < 2 * 2**20
 
     def test_input_width_checked(self):
         net = init_network(make_specs(1, 4, 0.0), seed=0)

@@ -1,6 +1,7 @@
 """Tests for the training loop, epoch metrics, K-fold runs and evaluate."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from socdfn.network import (
     predict,
 )
 from socdfn.optimize import OptimizerConfig, init_state
+from socdfn import train
 from socdfn.rng import make_rng
 from socdfn.train import (
     CVReport,
@@ -323,6 +325,66 @@ class TestCrossValidate:
     def test_folds_are_distinct_runs(self):
         report = self.run_cv(k=4)
         assert len(set(report.per_fold_final_val_mae)) > 1
+
+
+_OPENBLAS = train._openblas_thread_fns()
+
+
+@pytest.mark.skipif(
+    _OPENBLAS is None,
+    reason="numpy's BLAS exposes no OpenBLAS thread setter, so "
+    "cross_validate leaves the BLAS thread count alone",
+)
+class TestBlasThreadsPerWorker:
+    def record_threads_in_fit(self, monkeypatch):
+        """Make every fold's fit() record the OpenBLAS thread count."""
+        get_threads = _OPENBLAS[1]
+        seen = []
+        real_fit = train.fit
+
+        def recording_fit(*args, **kwargs):
+            seen.append(get_threads())
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(train, "fit", recording_fit)
+        return seen
+
+    def test_fold_workers_share_the_cores(self, monkeypatch):
+        get_threads = _OPENBLAS[1]
+        seen = self.record_threads_in_fit(monkeypatch)
+        before = get_threads()
+        pool = affine_dataset(80, seed=21)
+        specs = make_specs(hidden=1, units=8, dropout=0.0)
+        cross_validate(pool, specs, 4, small_cfg(epochs=1, batch_size=16),
+                       seed=15, jobs=2)
+        assert seen == [max(1, os.cpu_count() // 2)] * 4
+        assert get_threads() == before
+
+    def test_serial_run_keeps_the_thread_count(self, monkeypatch):
+        get_threads = _OPENBLAS[1]
+        seen = self.record_threads_in_fit(monkeypatch)
+        before = get_threads()
+        pool = affine_dataset(40, seed=21)
+        specs = make_specs(hidden=1, units=8, dropout=0.0)
+        cross_validate(pool, specs, 2, small_cfg(epochs=1, batch_size=16),
+                       seed=15, jobs=1)
+        assert seen == [before] * 2
+
+    # The overflow warnings come from the fold threads, where an
+    # np.errstate entered here does not apply.
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_thread_count_restored_when_a_fold_raises(self, monkeypatch):
+        get_threads = _OPENBLAS[1]
+        seen = self.record_threads_in_fit(monkeypatch)
+        before = get_threads()
+        pool = affine_dataset(80, seed=21)
+        specs = make_specs(hidden=2, units=16, dropout=0.0)
+        cfg = small_cfg(optimizer=OptimizerConfig(kind="sgd", learning_rate=1e12))
+        with pytest.raises(NumericError, match="diverged"):
+            cross_validate(pool, specs, 2, cfg, seed=15, jobs=2)
+        assert seen == [max(1, os.cpu_count() // 2)] * 2
+        assert get_threads() == before
 
 
 class TestEvaluate:
