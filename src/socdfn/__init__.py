@@ -13,7 +13,6 @@ from .data import (
     Dataset,
     FoldAssignment,
     Normalizer,
-    SampleRecord,
     apply_normalizer,
     batch_iter,
     fit_normalizer,

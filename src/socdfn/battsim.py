@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, SampleRecord
+from .data import Dataset
 from .errors import ConfigError
 from .rng import check_seed, make_rng
 
@@ -138,7 +138,7 @@ def simulate_cell(
     SOC bookkeeping is pure Coulomb counting on the raw integral
     soc(t) = soc0 + (100 / (3600 * capacity)) * sum(i * dt); emitted
     labels are that integral clamped to [0, 100], and the run truncates
-    after emitting the first record whose integral has reached 0. Row k
+    after emitting the first row whose integral has reached 0. Row k
     carries time (k + 1) * dt, the state after applying step k.
     """
     if not 0.0 < soc0_pct <= 100.0:
@@ -148,35 +148,36 @@ def simulate_cell(
     profile = np.asarray(profile, dtype=np.float64)
     soc_per_amp_step = 100.0 * dt_s / (3600.0 * params.capacity_ah)
 
-    records = []
-    soc = soc0_pct
-    temp = params.ambient_c
+    # Sequential running sum: the same additions, in the same order, as
+    # stepping soc += soc_per_amp_step * i one row at a time.
+    raw = np.add.accumulate(np.concatenate(([soc0_pct], soc_per_amp_step * profile)))[1:]
+    empty = np.flatnonzero(raw <= 0.0)
+    if empty.size:
+        n = int(empty[0]) + 1
+        logger.info("cell empty after step %d of %d, truncating cycle", n, len(profile))
+        raw = raw[:n]
+    current = profile[: len(raw)].copy()
+    soc = np.clip(raw, 0.0, 100.0)
+    volts = params.ocv(soc) + current * params.r_internal_ohm
+    heat_target = (
+        params.ambient_c
+        + params.heat_coeff_k_per_w * current * current * params.r_internal_ohm
+    )
+    # The thermal lag feeds each step's temperature into the next.
     alpha = dt_s / params.thermal_tau_s
-    for k, i in enumerate(profile):
-        i = float(i)
-        soc += soc_per_amp_step * i
-        soc_label = min(100.0, max(0.0, soc))
-        volts = params.ocv(soc_label) + i * params.r_internal_ohm
-        heat_target = (
-            params.ambient_c
-            + params.heat_coeff_k_per_w * i * i * params.r_internal_ohm
-        )
-        temp += alpha * (heat_target - temp)
-        records.append(
-            SampleRecord(
-                t=(k + 1) * dt_s,
-                voltage=volts,
-                current=i,
-                temperature=temp,
-                soc=soc_label,
-            )
-        )
-        if soc <= 0.0:
-            logger.info(
-                "cell empty after step %d of %d, truncating cycle", k + 1, len(profile)
-            )
-            break
-    return Dataset(records=tuple(records), name="simulated-cycle")
+    temps = []
+    temp = params.ambient_c
+    for target in heat_target.tolist():
+        temp += alpha * (target - temp)
+        temps.append(temp)
+    return Dataset(
+        t=np.arange(1, len(raw) + 1) * dt_s,
+        voltage=volts,
+        current=current,
+        temperature=temps,
+        soc=soc,
+        name="simulated-cycle",
+    )
 
 
 def synth_dataset(

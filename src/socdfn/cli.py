@@ -10,7 +10,7 @@ model files.
 
 Exit codes: 0 success; 2 usage or configuration error; 3 I/O error;
 4 schema, shape, or model-format violation; 5 numeric failure (loss
-went non-finite).
+or prediction went non-finite).
 """
 
 import argparse
@@ -27,8 +27,6 @@ from .data import (
     load_csv,
     load_features_csv,
     split_holdout,
-    target_vector,
-    time_vector,
     write_csv,
     write_predictions_csv,
 )
@@ -65,7 +63,7 @@ _EPILOG = """exit codes:
   2  usage or configuration error
   3  I/O error (missing or unwritable file)
   4  schema/validation error (bad CSV, shape mismatch, bad model file)
-  5  numeric failure (training loss went non-finite)
+  5  numeric failure (loss or prediction went non-finite)
 """
 
 
@@ -204,9 +202,9 @@ def cmd_train(args) -> int:
     train_ds, val_ds, test_ds = _load_and_split(args)
     norm = fit_normalizer(train_ds)
     x_tr = apply_normalizer(norm, train_ds)
-    y_tr = target_vector(train_ds)
+    y_tr = train_ds.soc
     x_va = apply_normalizer(norm, val_ds)
-    y_va = target_vector(val_ds)
+    y_va = val_ds.soc
     specs = make_specs(hidden, units, dropout)
     net = init_network(specs, shift_seed(args.seed, 1))
     cfg = _train_config(args)
@@ -272,7 +270,7 @@ def cmd_predict(args) -> int:
     net, norm, _ = load_model(args.model)
     dataset = load_features_csv(args.data)
     soc = predict_soc(net, norm, dataset)
-    write_predictions_csv(time_vector(dataset), soc, args.out)
+    write_predictions_csv(dataset.t, soc, args.out)
     print(f"wrote {len(soc)} predictions to {args.out}")
     return EXIT_OK
 

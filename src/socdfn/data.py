@@ -21,36 +21,53 @@ CSV_HEADER = "t_s,voltage_v,current_a,temp_c,soc_pct"
 FEATURES_HEADER = "t_s,voltage_v,current_a,temp_c"
 PREDICTION_HEADER = "t_s,soc_pred_pct"
 FEATURE_NAMES = ("voltage_v", "current_a", "temp_c")
+# Dataset column attributes, in CSV column order.
+COLUMNS = ("t", "voltage", "current", "temperature", "soc")
+_CSV_FIELDS = tuple(CSV_HEADER.split(","))
 
-# Column print formats for written CSVs. Voltage and current are rounded
-# to sensor resolution (10 mV, 1 mA); temperature to 0.01 C. SOC labels
-# keep six decimals so the Coulomb-counting ground truth survives the
-# round trip essentially intact.
-_T_FMT = "%.3f"
-_VOLTAGE_FMT = "%.2f"
-_CURRENT_FMT = "%.3f"
-_TEMP_FMT = "%.2f"
-_SOC_FMT = "%.6f"
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """One timestamped measurement row; current is negative on discharge."""
-
-    t: float
-    voltage: float
-    current: float
-    temperature: float
-    soc: float
+# Row print formats for written CSVs. Voltage and current are rounded to
+# sensor resolution (10 mV, 1 mA); temperature to 0.01 C. SOC labels and
+# predictions keep six decimals so the Coulomb-counting ground truth
+# survives the round trip essentially intact.
+_ROW_FMT = "%.3f,%.2f,%.3f,%.2f,%.6f\n"
+_PREDICTION_FMT = "%.3f,%.6f\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    records: tuple[SampleRecord, ...]
+    """One drive cycle as five equal-length float64 columns.
+
+    Each column is stored as a read-only, C-contiguous view; current is
+    negative on discharge. Columns are the only row storage: subsets and
+    folds index them, and feature_matrix stacks them for the network.
+    """
+
+    t: np.ndarray
+    voltage: np.ndarray
+    current: np.ndarray
+    temperature: np.ndarray
+    soc: np.ndarray
     name: str = "dataset"
 
+    def __post_init__(self):
+        for column in COLUMNS:
+            # A view, so freezing it leaves the caller's array writable.
+            values = np.ascontiguousarray(getattr(self, column), dtype=np.float64).view()
+            values.flags.writeable = False
+            object.__setattr__(self, column, values)
+        if any(c.ndim != 1 or c.shape != self.t.shape for c in self.columns):
+            raise ShapeError(
+                "dataset columns must be 1-D and of equal length, got shapes "
+                + ", ".join(str(c.shape) for c in self.columns)
+            )
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.t)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The five columns in CSV order (t, voltage, current, temperature, soc)."""
+        return tuple(getattr(self, column) for column in COLUMNS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,27 +93,25 @@ class Batch:
     y: np.ndarray
 
 
-def _validate_record(rec: SampleRecord, line: int | None = None) -> None:
-    for field_name, value in (
-        ("t_s", rec.t),
-        ("voltage_v", rec.voltage),
-        ("current_a", rec.current),
-        ("temp_c", rec.temperature),
-        ("soc_pct", rec.soc),
-    ):
+def _check_row(values: list[float], line: int) -> None:
+    for field_name, value in zip(_CSV_FIELDS, values):
         if not math.isfinite(value):
             raise DataError(f"non-finite value in column {field_name}", line=line)
-    if not 0.0 <= rec.soc <= 100.0:
-        raise DataError(f"soc_pct {rec.soc!r} outside [0, 100]", line=line)
-    if rec.voltage <= 0.0:
-        raise DataError(f"voltage_v {rec.voltage!r} must be positive", line=line)
+    _, voltage, _, _, soc = values
+    if not 0.0 <= soc <= 100.0:
+        raise DataError(f"soc_pct {soc!r} outside [0, 100]", line=line)
+    if voltage <= 0.0:
+        raise DataError(f"voltage_v {voltage!r} must be positive", line=line)
 
 
-def _parse_float(token: str, line: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise DataError(f"cannot parse {token!r} as a number", line=line) from None
+def _parse_floats(fields: list[str], line: int) -> list[float]:
+    values = []
+    for token in fields:
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise DataError(f"cannot parse {token!r} as a number", line=line) from None
+    return values
 
 
 def load_csv(path, name: str | None = None) -> Dataset:
@@ -105,8 +120,7 @@ def load_csv(path, name: str | None = None) -> Dataset:
     Raises DataError with a 1-based line number on any malformed or
     out-of-range row, and OSError if the file cannot be read.
     """
-    records = _read_rows(path, require_soc=True)
-    return Dataset(records=records, name=name or str(path))
+    return Dataset(*_read_columns(path, require_soc=True), name=name or str(path))
 
 
 def load_features_csv(path, name: str | None = None) -> Dataset:
@@ -116,11 +130,11 @@ def load_features_csv(path, name: str | None = None) -> Dataset:
     carried through but not required to be meaningful) or the four-column
     feature schema, in which case soc is filled with zeros.
     """
-    records = _read_rows(path, require_soc=False)
-    return Dataset(records=records, name=name or str(path))
+    return Dataset(*_read_columns(path, require_soc=False), name=name or str(path))
 
 
-def _read_rows(path, require_soc: bool) -> tuple[SampleRecord, ...]:
+def _read_columns(path, require_soc: bool) -> np.ndarray:
+    """(5, n) array of the file's columns; checks each line in file order."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n")
         if require_soc:
@@ -140,7 +154,7 @@ def _read_rows(path, require_soc: bool) -> tuple[SampleRecord, ...]:
                     f"or {FEATURES_HEADER!r}",
                     line=1,
                 )
-        records = []
+        flat = []
         prev_t = -math.inf
         for line_no, raw in enumerate(fh, start=2):
             line = raw.rstrip("\r\n")
@@ -151,48 +165,31 @@ def _read_rows(path, require_soc: bool) -> tuple[SampleRecord, ...]:
                 raise DataError(
                     f"expected {n_fields} fields, got {len(fields)}", line=line_no
                 )
-            values = [_parse_float(tok, line_no) for tok in fields]
+            values = _parse_floats(fields, line_no)
             if n_fields == 4:
                 values.append(0.0)
-            rec = SampleRecord(
-                t=values[0],
-                voltage=values[1],
-                current=values[2],
-                temperature=values[3],
-                soc=values[4],
-            )
             if require_soc:
-                _validate_record(rec, line=line_no)
+                _check_row(values, line_no)
             elif not all(math.isfinite(v) for v in values):
                 raise DataError("non-finite value", line=line_no)
-            if rec.t < prev_t:
-                raise DataError(
-                    f"t_s {rec.t!r} decreases from previous row", line=line_no
-                )
-            prev_t = rec.t
-            records.append(rec)
-    if not records:
+            t = values[0]
+            if t < prev_t:
+                raise DataError(f"t_s {t!r} decreases from previous row", line=line_no)
+            prev_t = t
+            flat.extend(values)
+    if not flat:
         raise DataError("empty dataset (no data rows)")
-    return tuple(records)
+    # Row-major rows, transposed and copied so each column is contiguous.
+    return np.array(flat, dtype=np.float64).reshape(-1, len(COLUMNS)).T.copy()
 
 
 def write_csv(dataset: Dataset, path) -> None:
     """Write the five-column schema with fixed per-column precision."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for rec in dataset.records:
-            fh.write(
-                ",".join(
-                    (
-                        _T_FMT % rec.t,
-                        _VOLTAGE_FMT % rec.voltage,
-                        _CURRENT_FMT % rec.current,
-                        _TEMP_FMT % rec.temperature,
-                        _SOC_FMT % rec.soc,
-                    )
-                )
-                + "\n"
-            )
+        fh.writelines(
+            _ROW_FMT % row for row in zip(*(c.tolist() for c in dataset.columns))
+        )
 
 
 def write_predictions_csv(times: np.ndarray, soc_pred: np.ndarray, path) -> None:
@@ -203,25 +200,18 @@ def write_predictions_csv(times: np.ndarray, soc_pred: np.ndarray, path) -> None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(PREDICTION_HEADER + "\n")
         for t, s in zip(times, soc_pred):
-            fh.write((_T_FMT % float(t)) + "," + (_SOC_FMT % float(s)) + "\n")
+            fh.write(_PREDICTION_FMT % (float(t), float(s)))
 
 
 def feature_matrix(dataset: Dataset) -> np.ndarray:
-    """Raw (n, 3) feature matrix in (voltage, current, temperature) order."""
+    """Raw (n, 3) feature matrix in (voltage, current, temperature) order.
+
+    C-contiguous, so the per-feature mean and std reduce in the same
+    order, and to the same bits, on every call.
+    """
     if len(dataset) == 0:
         raise ConfigError(f"dataset {dataset.name!r} is empty")
-    return np.array(
-        [(r.voltage, r.current, r.temperature) for r in dataset.records],
-        dtype=np.float64,
-    )
-
-
-def target_vector(dataset: Dataset) -> np.ndarray:
-    return np.array([r.soc for r in dataset.records], dtype=np.float64)
-
-
-def time_vector(dataset: Dataset) -> np.ndarray:
-    return np.array([r.t for r in dataset.records], dtype=np.float64)
+    return np.column_stack((dataset.voltage, dataset.current, dataset.temperature))
 
 
 def fit_normalizer(train: Dataset) -> Normalizer:
@@ -260,7 +250,7 @@ def apply_normalizer(norm: Normalizer, dataset: Dataset) -> np.ndarray:
 def _subset(dataset: Dataset, indices: np.ndarray, name: str) -> Dataset:
     ordered = np.sort(np.asarray(indices))
     return Dataset(
-        records=tuple(dataset.records[i] for i in ordered),
+        *(column[ordered] for column in dataset.columns),
         name=f"{dataset.name}/{name}",
     )
 
@@ -338,7 +328,9 @@ def fold_datasets(
 
 
 def concat_datasets(a: Dataset, b: Dataset, name: str) -> Dataset:
-    return Dataset(records=a.records + b.records, name=name)
+    return Dataset(
+        *(np.concatenate(pair) for pair in zip(a.columns, b.columns)), name=name
+    )
 
 
 def batch_iter(

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Normalizer, normalize_features
-from .errors import ConfigError, ContractError, ShapeError
+from .data import Dataset, Normalizer, feature_matrix, normalize_features
+from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .rng import make_rng
 
 ACTIVATIONS = ("relu", "linear")
@@ -358,19 +358,21 @@ def predict(net: Network, x: np.ndarray) -> np.ndarray:
     return pred
 
 
-def predict_soc(net: Network, norm: Normalizer, raw) -> np.ndarray:
-    """Normalize raw records, run inference, clamp to [0, 100] percent."""
+def require_finite_predictions(pred: np.ndarray) -> np.ndarray:
+    """Return pred, or raise NumericError where finite weights overflowed."""
+    bad = np.count_nonzero(~np.isfinite(pred))
+    if bad:
+        raise NumericError(f"{bad} of {len(pred)} predictions are non-finite")
+    return pred
+
+
+def predict_soc(net: Network, norm: Normalizer, dataset: Dataset) -> np.ndarray:
+    """Normalize the dataset's features, run inference, clamp to [0, 100] percent.
+
+    Non-finite predictions raise NumericError: NaN would pass the clamp.
+    """
     if norm is None:
         raise ContractError("predict_soc needs a fitted normalizer")
-    if isinstance(raw, Dataset):
-        dataset = raw
-    else:
-        dataset = Dataset(records=tuple(raw), name="records")
-    x = np.array(
-        [(r.voltage, r.current, r.temperature) for r in dataset.records],
-        dtype=np.float64,
-    )
-    if x.size == 0:
-        raise ConfigError("no records to predict on")
-    pred = predict(net, normalize_features(norm, x))
+    x = normalize_features(norm, feature_matrix(dataset))
+    pred = require_finite_predictions(predict(net, x))
     return np.clip(pred, 0.0, 100.0, out=pred)

@@ -25,7 +25,6 @@ from .data import (
     fit_normalizer,
     fold_datasets,
     kfold_split,
-    target_vector,
 )
 from .errors import ConfigError, NumericError
 from .network import (
@@ -38,6 +37,7 @@ from .network import (
     loss_mae,
     penalty,
     predict,
+    require_finite_predictions,
 )
 from .optimize import OptimizerConfig, OptimizerState, apply_update, init_state
 from .rng import check_seed, shift_seed, substream
@@ -205,9 +205,9 @@ def _run_fold(
     train_ds, val_ds = fold_datasets(pool, assignment, fold)
     norm = fit_normalizer(train_ds)
     x_tr = apply_normalizer(norm, train_ds)
-    y_tr = target_vector(train_ds)
+    y_tr = train_ds.soc
     x_va = apply_normalizer(norm, val_ds)
-    y_va = target_vector(val_ds)
+    y_va = val_ds.soc
     fold_net = init_network(specs, shift_seed(seed, 1 + fold))
     fold_cfg = TrainConfig(
         epochs=cfg.epochs,
@@ -317,8 +317,8 @@ def cross_validate(
 
 
 def evaluate(net: Network, norm: Normalizer, test: Dataset) -> float:
-    """Inference-mode test MAE, unclamped so the metric stays honest."""
+    """Inference-mode test MAE, unclamped; non-finite predictions raise."""
     if len(test) == 0:
         raise ConfigError("test set must be non-empty")
-    pred = predict(net, apply_normalizer(norm, test))
-    return mae(pred, target_vector(test))
+    pred = require_finite_predictions(predict(net, apply_normalizer(norm, test)))
+    return mae(pred, test.soc)

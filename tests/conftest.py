@@ -8,6 +8,7 @@ import pytest
 
 from socdfn.battsim import CellParams, CycleConfig, synth_dataset
 from socdfn.cli import main
+from socdfn.data import Dataset
 from socdfn.network import data_loss, forward, penalty
 
 
@@ -25,6 +26,16 @@ def run_cli(argv):
         except SystemExit as exc:  # argparse exits instead of returning
             code = exc.code if exc.code is not None else 0
     return code, out.getvalue(), err.getvalue()
+
+
+def dataset_from_rows(rows, name="dataset"):
+    """Dataset from (t, voltage, current, temperature, soc) row tuples."""
+    return Dataset(*np.array(rows, dtype=np.float64).reshape(-1, 5).T, name=name)
+
+
+def rows_of(dataset):
+    """(n, 5) array of a dataset's rows, for whole-dataset comparisons."""
+    return np.column_stack(dataset.columns)
 
 
 def objective_value(net, x, y, reg, loss_kind, masks):

@@ -26,8 +26,6 @@ from socdfn.data import (
     kfold_split,
     load_csv,
     split_holdout,
-    target_vector,
-    time_vector,
 )
 from socdfn.network import (
     GradientSet,
@@ -189,10 +187,10 @@ def test_04_coulomb_counting():
     full_drain = simulate_cell(
         np.full(3600, -2.9), params, soc0_pct=100.0, dt_s=1.0
     )
-    final_soc = float(target_vector(full_drain)[-1])
-    final_t = float(time_vector(full_drain)[-1])
+    final_soc = float(full_drain.soc[-1])
+    final_t = float(full_drain.t[-1])
     rest = simulate_cell(np.zeros(600), params, soc0_pct=73.25, dt_s=1.0)
-    held = np.all(target_vector(rest) == 73.25)
+    held = np.all(rest.soc == 73.25)
     ok = report(
         4, abs(final_soc) < 1e-9 and final_t == 3600.0 and held,
         "coulomb counting drives 100% to 0% on a full 1C drain and holds "

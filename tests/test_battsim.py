@@ -127,32 +127,30 @@ class TestSimulateCell:
         params = CellParams()
         profile = np.full(3600, -2.9)
         ds = simulate_cell(profile, params, soc0_pct=100.0, dt_s=1.0)
-        final = ds.records[-1]
-        assert final.t == 3600.0
-        assert abs(final.soc) < 1e-9
+        assert ds.t[-1] == 3600.0
+        assert abs(ds.soc[-1]) < 1e-9
         oracle = soc_oracle(profile, 2.9, 100.0, 1.0)
         assert abs(oracle[-1]) < 1e-9
 
     def test_half_discharge(self):
         params = CellParams()
         ds = simulate_cell(np.full(1800, -2.9), params, 100.0, 1.0)
-        assert abs(ds.records[-1].soc - 50.0) < 1e-9
+        assert abs(ds.soc[-1] - 50.0) < 1e-9
 
     def test_zero_current_holds_state(self):
         params = CellParams()
         ds = simulate_cell(np.zeros(100), params, 73.5, 1.0)
         assert len(ds) == 100
-        for rec in ds.records:
-            assert rec.soc == 73.5
-            assert rec.voltage == params.ocv(73.5)
-            assert rec.temperature == params.ambient_c
+        assert np.all(ds.soc == 73.5)
+        assert np.all(ds.voltage == params.ocv(73.5))
+        assert np.all(ds.temperature == params.ambient_c)
 
     def test_matches_integral_oracle_on_random_profile(self):
         rng = np.random.default_rng(17)
         profile = rng.uniform(-0.8, 0.3, size=2500)
         params = CellParams()
         ds = simulate_cell(profile, params, 60.0, 1.0)
-        labels = np.array([r.soc for r in ds.records])
+        labels = ds.soc
         oracle = np.clip(soc_oracle(profile, 2.9, 60.0, 1.0), 0.0, 100.0)
         np.testing.assert_allclose(labels, oracle, atol=1e-9)
 
@@ -160,34 +158,36 @@ class TestSimulateCell:
         rng = np.random.default_rng(8)
         profile = -rng.uniform(0.1, 1.0, size=500)
         ds = simulate_cell(profile, CellParams(), 90.0, 1.0)
-        socs = [r.soc for r in ds.records]
+        socs = ds.soc.tolist()
         assert all(b <= a for a, b in zip(socs, socs[1:]))
 
     def test_charge_only_is_monotone_nondecreasing(self):
         profile = np.full(50, 0.4)
         ds = simulate_cell(profile, CellParams(), 10.0, 1.0)
-        socs = [r.soc for r in ds.records]
+        socs = ds.soc.tolist()
         assert all(b >= a for a, b in zip(socs, socs[1:]))
 
     def test_label_clamped_at_full(self):
         ds = simulate_cell(np.full(100, 1.0), CellParams(), 99.99, 1.0)
-        assert max(r.soc for r in ds.records) == 100.0
+        assert ds.soc.max() == 100.0
 
     def test_truncates_when_empty(self):
         profile = np.full(5000, -2.9)
         ds = simulate_cell(profile, CellParams(), 100.0, 1.0)
         assert len(ds) < 5000
         assert 3600 <= len(ds) <= 3601
-        assert ds.records[-1].soc <= 1e-9
+        assert ds.soc[-1] <= 1e-9
 
     def test_voltage_is_ocv_plus_ir(self):
         rng = np.random.default_rng(3)
         profile = rng.uniform(-1.0, 0.5, size=200)
         params = CellParams()
         ds = simulate_cell(profile, params, 80.0, 1.0)
-        for rec in ds.records:
-            expect = params.ocv(rec.soc) + rec.current * params.r_internal_ohm
-            np.testing.assert_allclose(rec.voltage, expect, rtol=1e-12)
+        for soc, current, voltage in zip(
+            ds.soc.tolist(), ds.current.tolist(), ds.voltage.tolist()
+        ):
+            expect = params.ocv(soc) + current * params.r_internal_ohm
+            np.testing.assert_allclose(voltage, expect, rtol=1e-12)
 
     def test_temperature_follows_first_order_lag(self):
         # Hand recursion: temp' = temp + (dt/tau) * (target - temp) with
@@ -197,20 +197,20 @@ class TestSimulateCell:
         ds = simulate_cell(profile, params, 50.0, 2.0)
         temp = params.ambient_c
         alpha = 2.0 / 60.0
-        for i, rec in zip(profile, ds.records):
+        for i, temperature in zip(profile, ds.temperature):
             target = params.ambient_c + params.heat_coeff_k_per_w * i * i * (
                 params.r_internal_ohm
             )
             temp += alpha * (target - temp)
-            np.testing.assert_allclose(rec.temperature, temp, rtol=1e-15)
+            np.testing.assert_allclose(temperature, temp, rtol=1e-15)
 
     def test_self_heating_raises_temperature(self):
         ds = simulate_cell(np.full(600, -1.0), CellParams(), 90.0, 1.0)
-        assert ds.records[-1].temperature > CellParams().ambient_c + 0.1
+        assert ds.temperature[-1] > CellParams().ambient_c + 0.1
 
     def test_timestamps(self):
         ds = simulate_cell(np.zeros(5), CellParams(), 50.0, 0.5)
-        assert [r.t for r in ds.records] == [0.5, 1.0, 1.5, 2.0, 2.5]
+        assert ds.t.tolist() == [0.5, 1.0, 1.5, 2.0, 2.5]
 
     def test_soc0_validation(self):
         with pytest.raises(ConfigError):
@@ -230,7 +230,7 @@ class TestSynthDataset:
         ds = synth_dataset(cell, cycle, soc0_pct=95.0)
         profile = generate_drive_cycle(cycle)
         oracle = np.clip(soc_oracle(profile, cell.capacity_ah, 95.0, 1.0), 0.0, 100.0)
-        labels = np.array([r.soc for r in ds.records])
+        labels = ds.soc
         np.testing.assert_allclose(labels, oracle[: len(labels)], atol=1e-9)
 
     def test_rows_pass_csv_validation(self, tmp_path):

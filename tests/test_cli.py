@@ -1,14 +1,16 @@
 """End-to-end tests of the command line, run in-process via main()."""
 
+import hashlib
 import re
 import warnings
 
 import numpy as np
 import pytest
-from conftest import run_cli
+from conftest import rows_of, run_cli
 
 from socdfn.data import load_csv
 from socdfn.modelio import load_model, save_model
+from socdfn.network import LayerSpec, Network
 
 TRAIN_LINE = re.compile(
     r"^epochs=(\d+) train_mae=(\d+\.\d{6}) val_mae=(\d+\.\d{6}) "
@@ -53,6 +55,25 @@ class TestGenData:
         assert run_cli(["gen-data", "--out", str(a), *args])[0] == 0
         assert run_cli(["gen-data", "--out", str(b), *args])[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    # sha256 of the stock 20,000-row cycles and of one run that empties a
+    # 0.3 Ah cell after 3734 rows. gen-data uses only PCG64 draws and
+    # elementwise IEEE-754 arithmetic, no BLAS, so the bytes do not depend
+    # on the core count or BLAS build; they pin the simulator and writer.
+    @pytest.mark.parametrize("args, digest", [
+        (["--seed", "0"],
+         "99875a1c7fd752381393627ec31bd1cb5580caccac25b3a5a887e049d506a239"),
+        (["--seed", "1"],
+         "0215ef7da3d8c74f0d035fb54e282cabd638548f0cf2d3c6011d06f100a822f7"),
+        (["--seed", "2"],
+         "9912ac1d583aa74bd2260a02476e37b5e7dfa14907d332a30ee5c5109471b746"),
+        (["--seed", "0", "--capacity", "0.3"],
+         "6771de56fdfef01be1cdafe1c313a86cce07c346bca73e600e21dac826c7a0bd"),
+    ])
+    def test_bytes_match_recorded_digest(self, tmp_path, args, digest):
+        out = tmp_path / "cycle.csv"
+        assert run_cli(["gen-data", "--out", str(out), *args])[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_seed_changes_output(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -233,7 +254,7 @@ class TestTrain:
         assert code == 0
         full = load_csv(cycle_csv)
         test = load_csv(test_csv)
-        assert test.records == full.records[-len(test.records):]
+        assert np.array_equal(rows_of(test), rows_of(full)[-len(test):])
 
 
 class TestCrossval:
@@ -355,6 +376,26 @@ class TestPredict:
         code, _, err = run_cli(["predict", "--model", str(bad), "--data",
                                 str(test_csv), "--out", str(out)])
         assert code == 4
+        assert "non-finite" in err
+        assert not out.exists()
+
+    def test_non_finite_prediction_exit_5(self, trained, tmp_path):
+        # Every stored value is finite, so the model loads; its output
+        # layer computes inf - inf = NaN on the rows that overflow.
+        model, test_csv = trained
+        _, norm, meta = load_model(model)
+        net = Network(
+            layers=(LayerSpec(3, 2, "relu"), LayerSpec(2, 1, "linear")),
+            weights=[np.full((3, 2), 1e308), np.array([[1.0], [-1.0]])],
+            biases=[np.zeros(2), np.zeros(1)],
+        )
+        bad = tmp_path / "overflow.json"
+        save_model(net, norm, bad, meta)
+        out = tmp_path / "predictions.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run_cli(["predict", "--model", str(bad), "--data",
+                                    str(test_csv), "--out", str(out)])
+        assert code == 5
         assert "non-finite" in err
         assert not out.exists()
 

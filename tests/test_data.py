@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dataset_from_rows, rows_of
 
 from socdfn.data import (
     CSV_HEADER,
+    FEATURES_HEADER,
     Dataset,
-    SampleRecord,
     apply_normalizer,
     batch_iter,
     concat_datasets,
@@ -20,8 +21,6 @@ from socdfn.data import (
     load_features_csv,
     normalize_features,
     split_holdout,
-    target_vector,
-    time_vector,
     write_csv,
     write_predictions_csv,
 )
@@ -35,18 +34,18 @@ from socdfn.errors import (
 
 def make_dataset(n, seed=0, name="synthetic"):
     rng = np.random.default_rng(seed)
-    records = []
+    rows = []
     for i in range(n):
-        records.append(
-            SampleRecord(
-                t=float(i),
-                voltage=float(3.0 + rng.uniform(0.0, 1.2)),
-                current=float(rng.uniform(-1.0, 0.5)),
-                temperature=float(25.0 + rng.uniform(-2.0, 8.0)),
-                soc=float(rng.uniform(0.0, 100.0)),
+        rows.append(
+            (
+                float(i),
+                float(3.0 + rng.uniform(0.0, 1.2)),
+                float(rng.uniform(-1.0, 0.5)),
+                float(25.0 + rng.uniform(-2.0, 8.0)),
+                float(rng.uniform(0.0, 100.0)),
             )
         )
-    return Dataset(records=tuple(records), name=name)
+    return dataset_from_rows(rows, name=name)
 
 
 def write_lines(path, lines):
@@ -67,8 +66,8 @@ class TestLoadCsv:
         write_lines(path, GOOD_LINES)
         ds = load_csv(path)
         assert len(ds) == 3
-        assert ds.records[0].voltage == 4.20
-        assert ds.records[2].soc == 99.990613
+        assert ds.voltage[0] == 4.20
+        assert ds.soc[2] == 99.990613
 
     def test_header_only_is_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -153,7 +152,7 @@ class TestLoadFeaturesCsv:
         )
         ds = load_features_csv(path)
         assert len(ds) == 1
-        assert ds.records[0].soc == 0.0
+        assert ds.soc[0] == 0.0
 
     def test_five_column_schema_accepted(self, tmp_path):
         path = tmp_path / "full.csv"
@@ -166,6 +165,50 @@ class TestLoadFeaturesCsv:
         write_lines(path, ["a,b,c,d", "0,1,2,3"])
         with pytest.raises(DataError, match="line 1"):
             load_features_csv(path)
+
+    def test_nan_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        write_lines(path, [FEATURES_HEADER, "0.000,4.20,-0.500,25.00",
+                           "1.000,4.20,nan,25.00"])
+        with pytest.raises(DataError, match=r"^line 3: non-finite value$"):
+            load_features_csv(path)
+
+    def test_time_must_not_decrease(self, tmp_path):
+        path = tmp_path / "time.csv"
+        write_lines(path, [FEATURES_HEADER, "1.000,4.20,-0.5,25.00",
+                           "0.500,4.20,-0.5,25.00"])
+        with pytest.raises(DataError, match="line 3.*decreases"):
+            load_features_csv(path)
+
+    def test_wrong_field_count(self, tmp_path):
+        path = tmp_path / "fields.csv"
+        write_lines(path, [FEATURES_HEADER, "0.000,4.20,-0.5,25.00,50.0"])
+        with pytest.raises(DataError, match="line 2.*expected 4 fields, got 5"):
+            load_features_csv(path)
+
+    def test_blank_line_rejected(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(
+            FEATURES_HEADER + "\n0.000,4.20,-0.5,25.00\n\n", encoding="utf-8"
+        )
+        with pytest.raises(DataError, match="line 3.*blank"):
+            load_features_csv(path)
+
+
+@pytest.mark.parametrize("loader, header, bad_row, message", [
+    (load_csv, CSV_HEADER, "1.000,4.19,-0.480,25.02,100.5",
+     r"^line 3: soc_pct 100\.5 outside \[0, 100\]$"),
+    (load_features_csv, FEATURES_HEADER, "0.500,4.19,-0.480,25.02",
+     r"^line 3: t_s 0\.5 decreases from previous row$"),
+])
+def test_first_bad_line_is_reported(tmp_path, loader, header, bad_row, message):
+    # Line 3 fails a range check and line 5 cannot be parsed: rows are
+    # checked in file order, so line 3 is the one reported.
+    good = "1.000,4.20,-0.500,25.00" + (",50.0" if header == CSV_HEADER else "")
+    path = tmp_path / "two_errors.csv"
+    write_lines(path, [header, good, bad_row, good, good.replace("4.20", "x")])
+    with pytest.raises(DataError, match=message):
+        loader(path)
 
 
 class TestCsvRoundTrip:
@@ -186,11 +229,10 @@ class TestCsvRoundTrip:
         path = tmp_path / "p.csv"
         write_csv(ds, path)
         back = load_csv(path)
-        for orig, got in zip(ds.records, back.records):
-            assert abs(got.voltage - orig.voltage) <= 0.005 + 1e-12
-            assert abs(got.current - orig.current) <= 0.0005 + 1e-12
-            assert abs(got.temperature - orig.temperature) <= 0.005 + 1e-12
-            assert abs(got.soc - orig.soc) <= 5e-7 + 1e-12
+        assert np.all(np.abs(back.voltage - ds.voltage) <= 0.005 + 1e-12)
+        assert np.all(np.abs(back.current - ds.current) <= 0.0005 + 1e-12)
+        assert np.all(np.abs(back.temperature - ds.temperature) <= 0.005 + 1e-12)
+        assert np.all(np.abs(back.soc - ds.soc) <= 5e-7 + 1e-12)
 
     def test_predictions_csv(self, tmp_path):
         path = tmp_path / "pred.csv"
@@ -211,30 +253,38 @@ class TestCsvRoundTrip:
 
 class TestMatrices:
     def test_feature_order(self):
-        ds = Dataset(
-            records=(SampleRecord(t=0.0, voltage=4.0, current=-1.0,
-                                  temperature=30.0, soc=80.0),)
-        )
+        ds = dataset_from_rows([(0.0, 4.0, -1.0, 30.0, 80.0)])
         np.testing.assert_array_equal(
             feature_matrix(ds), [[4.0, -1.0, 30.0]]
         )
-        np.testing.assert_array_equal(target_vector(ds), [80.0])
-        np.testing.assert_array_equal(time_vector(ds), [0.0])
+        np.testing.assert_array_equal(ds.soc, [80.0])
+        np.testing.assert_array_equal(ds.t, [0.0])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
-            feature_matrix(Dataset(records=(), name="none"))
+            feature_matrix(dataset_from_rows([], name="none"))
+
+    def test_columns_are_read_only_contiguous_float64(self):
+        t = np.arange(4)
+        ds = Dataset(t, t + 3.0, -t, t + 25.0, t * 10.0)
+        for column in ds.columns:
+            assert column.dtype == np.float64
+            assert column.flags.c_contiguous
+            assert not column.flags.writeable
+        assert feature_matrix(ds).flags.c_contiguous
+        other = np.arange(4.0)
+        Dataset(other, other, other, other, other)
+        other[0] = 7.0  # the caller's own array stays writable
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ShapeError, match="equal length"):
+            Dataset([0.0, 1.0], [4.0], [0.0], [25.0], [50.0])
 
 
 class TestNormalizer:
     def test_symmetric_pair_gives_unit_stats(self):
-        ds = Dataset(
-            records=(
-                SampleRecord(t=0.0, voltage=3.0, current=-1.0,
-                             temperature=24.0, soc=10.0),
-                SampleRecord(t=1.0, voltage=5.0, current=1.0,
-                             temperature=26.0, soc=20.0),
-            )
+        ds = dataset_from_rows(
+            [(0.0, 3.0, -1.0, 24.0, 10.0), (1.0, 5.0, 1.0, 26.0, 20.0)]
         )
         norm = fit_normalizer(ds)
         np.testing.assert_allclose(norm.mean, [4.0, 0.0, 25.0], atol=1e-15)
@@ -243,12 +293,9 @@ class TestNormalizer:
     def test_population_std_of_three_points(self):
         # Independent hand calculation for values {0, 2, 4}: mean 2 and
         # population variance (4 + 0 + 4) / 3, so std = sqrt(8/3).
-        ds = Dataset(
-            records=tuple(
-                SampleRecord(t=float(i), voltage=float(v + 1.0), current=float(v),
-                             temperature=float(v + 20.0), soc=50.0)
-                for i, v in enumerate((0.0, 2.0, 4.0))
-            )
+        ds = dataset_from_rows(
+            [(float(i), float(v + 1.0), float(v), float(v + 20.0), 50.0)
+             for i, v in enumerate((0.0, 2.0, 4.0))]
         )
         norm = fit_normalizer(ds)
         assert norm.mean[1] == 2.0
@@ -272,19 +319,15 @@ class TestNormalizer:
         np.testing.assert_allclose(z1, np.ones((1, 3)), atol=1e-12)
 
     def test_constant_feature_rejected_by_name(self):
-        ds = Dataset(
-            records=tuple(
-                SampleRecord(t=float(i), voltage=3.7, current=float(-i),
-                             temperature=25.0 + i, soc=50.0)
-                for i in range(5)
-            )
+        ds = dataset_from_rows(
+            [(float(i), 3.7, float(-i), 25.0 + i, 50.0) for i in range(5)]
         )
         with pytest.raises(DegenerateFeatureError, match="voltage_v"):
             fit_normalizer(ds)
 
     def test_targets_are_not_normalized(self):
         ds = make_dataset(50, seed=1)
-        y = target_vector(ds)
+        y = ds.soc
         assert y.max() > 1.5  # still in percent, not z-scores
 
     def test_wrong_width_rejected(self):
@@ -308,7 +351,7 @@ class TestSplitHoldout:
     def test_partition_is_disjoint_and_complete(self):
         ds = make_dataset(57, seed=5)
         train, val, test = split_holdout(ds, 0.6, 0.2, seed=12)
-        seen = [r.t for r in train.records + val.records + test.records]
+        seen = np.concatenate((train.t, val.t, test.t)).tolist()
         assert sorted(seen) == [float(i) for i in range(57)]
         assert len(set(seen)) == 57
 
@@ -317,25 +360,25 @@ class TestSplitHoldout:
         a = split_holdout(ds, 0.8, 0.1, seed=7)
         b = split_holdout(ds, 0.8, 0.1, seed=7)
         for left, right in zip(a, b):
-            assert left.records == right.records
+            assert np.array_equal(rows_of(left), rows_of(right))
 
     def test_different_seeds_differ(self):
         ds = make_dataset(40)
         a = split_holdout(ds, 0.8, 0.1, seed=7)
         b = split_holdout(ds, 0.8, 0.1, seed=8)
-        assert a[0].records != b[0].records
+        assert not np.array_equal(rows_of(a[0]), rows_of(b[0]))
 
     def test_no_shuffle_keeps_file_order(self):
         ds = make_dataset(10)
         train, val, test = split_holdout(ds, 0.8, 0.1, seed=0, shuffle=False)
-        assert [r.t for r in train.records] == [float(i) for i in range(8)]
-        assert [r.t for r in val.records] == [8.0]
-        assert [r.t for r in test.records] == [9.0]
+        assert train.t.tolist() == [float(i) for i in range(8)]
+        assert val.t.tolist() == [8.0]
+        assert test.t.tolist() == [9.0]
 
     def test_splits_keep_row_order(self):
         ds = make_dataset(30)
         train, _, _ = split_holdout(ds, 0.7, 0.15, seed=3)
-        ts = [r.t for r in train.records]
+        ts = train.t.tolist()
         assert ts == sorted(ts)
 
     def test_bad_fractions(self):
@@ -356,15 +399,14 @@ class TestSplitHoldout:
         # Rows 0..79 sit near voltage 3.2, rows 80..99 near 4.6. With a
         # positional split the train statistics must reflect only the
         # first region, not the pooled data.
-        records = []
+        rows = []
         for i in range(100):
             v = 3.2 if i < 80 else 4.6
-            records.append(
-                SampleRecord(t=float(i), voltage=v + 0.01 * (i % 5),
-                             current=-0.5 - 0.001 * i,
-                             temperature=25.0 + 0.01 * i, soc=50.0)
+            rows.append(
+                (float(i), v + 0.01 * (i % 5), -0.5 - 0.001 * i,
+                 25.0 + 0.01 * i, 50.0)
             )
-        ds = Dataset(records=tuple(records))
+        ds = dataset_from_rows(rows)
         train, val, test = split_holdout(ds, 0.8, 0.1, seed=0, shuffle=False)
         norm = fit_normalizer(train)
         x_train = feature_matrix(train)
@@ -416,8 +458,8 @@ class TestKfold:
         for fold in range(3):
             train, val = fold_datasets(ds, fa, fold)
             assert len(train) + len(val) == 11
-            train_ts = {r.t for r in train.records}
-            val_ts = {r.t for r in val.records}
+            train_ts = set(train.t.tolist())
+            val_ts = set(val.t.tolist())
             assert not train_ts & val_ts
 
     def test_fold_out_of_range(self):
@@ -439,7 +481,7 @@ class TestConcat:
         b = make_dataset(2, seed=1, name="b")
         both = concat_datasets(a, b, "pool")
         assert len(both) == 5
-        assert both.records[:3] == a.records
+        assert np.array_equal(rows_of(both)[:3], rows_of(a))
         assert both.name == "pool"
 
 

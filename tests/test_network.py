@@ -6,11 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import fd_gradient
+from conftest import dataset_from_rows, fd_gradient
 
-from socdfn.data import Dataset, Normalizer, SampleRecord
+from socdfn.data import Normalizer
 from socdfn import network
-from socdfn.errors import ConfigError, ContractError, ShapeError
+from socdfn.errors import ConfigError, ContractError, NumericError, ShapeError
 from socdfn.network import (
     ForwardCache,
     LayerSpec,
@@ -489,12 +489,10 @@ class TestBackward:
 
 
 class TestPredictSoc:
-    def make_records(self, n=4):
-        return [
-            SampleRecord(t=float(i), voltage=3.5 + 0.1 * i, current=-0.5,
-                         temperature=25.0 + i, soc=50.0)
-            for i in range(n)
-        ]
+    def make_dataset(self, n=4):
+        return dataset_from_rows(
+            [(float(i), 3.5 + 0.1 * i, -0.5, 25.0 + i, 50.0) for i in range(n)]
+        )
 
     def unit_normalizer(self):
         return Normalizer(mean=np.zeros(3), std=np.ones(3))
@@ -503,32 +501,36 @@ class TestPredictSoc:
         net = tiny_net(
             [np.zeros((3, 1))], [[150.0]], (LayerSpec(3, 1, "linear"),)
         )
-        out = predict_soc(net, self.unit_normalizer(), self.make_records())
+        out = predict_soc(net, self.unit_normalizer(), self.make_dataset())
         np.testing.assert_array_equal(out, np.full(4, 100.0))
 
     def test_clamps_low(self):
         net = tiny_net(
             [np.zeros((3, 1))], [[-9.0]], (LayerSpec(3, 1, "linear"),)
         )
-        out = predict_soc(net, self.unit_normalizer(), self.make_records())
+        out = predict_soc(net, self.unit_normalizer(), self.make_dataset())
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_requires_normalizer(self):
         net = tiny_net([np.zeros((3, 1))], [[1.0]], (LayerSpec(3, 1, "linear"),))
         with pytest.raises(ContractError, match="normalizer"):
-            predict_soc(net, None, self.make_records())
-
-    def test_dataset_and_record_list_agree(self):
-        net = tiny_net(
-            [[[1.0], [2.0], [0.5]]], [[3.0]], (LayerSpec(3, 1, "linear"),)
-        )
-        records = self.make_records()
-        ds = Dataset(records=tuple(records), name="probe")
-        a = predict_soc(net, self.unit_normalizer(), records)
-        b = predict_soc(net, self.unit_normalizer(), ds)
-        np.testing.assert_array_equal(a, b)
+            predict_soc(net, None, self.make_dataset())
 
     def test_empty_records_rejected(self):
         net = tiny_net([np.zeros((3, 1))], [[1.0]], (LayerSpec(3, 1, "linear"),))
         with pytest.raises(ConfigError):
-            predict_soc(net, self.unit_normalizer(), [])
+            predict_soc(net, self.unit_normalizer(), dataset_from_rows([]))
+
+    def test_overflowing_finite_model_raises(self):
+        # Every stored value is finite, but both hidden units overflow to
+        # inf and the output computes inf - inf = NaN, which the clamp
+        # would pass through.
+        net = tiny_net(
+            [np.full((3, 2), 1e308), [[1.0], [-1.0]]],
+            [np.zeros(2), [0.0]],
+            (LayerSpec(3, 2, "relu"), LayerSpec(2, 1, "linear")),
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match="4 of 4 predictions are non-finite"
+        ):
+            predict_soc(net, self.unit_normalizer(), self.make_dataset())

@@ -5,8 +5,9 @@ import os
 
 import numpy as np
 import pytest
+from conftest import dataset_from_rows
 
-from socdfn.data import Dataset, SampleRecord, fit_normalizer, apply_normalizer
+from socdfn.data import fit_normalizer, apply_normalizer
 from socdfn.errors import ConfigError, NumericError
 from socdfn.network import (
     LayerSpec,
@@ -42,17 +43,14 @@ def affine_batch(n, seed):
 def affine_dataset(n, seed, name="affine"):
     """Dataset whose SOC is affine in the (voltage, current, temp) row."""
     rng = make_rng(seed)
-    records = []
+    rows = []
     for i in range(n):
         v = 3.6 + rng.uniform(-0.4, 0.4)
         c = rng.uniform(-1.0, 0.3)
         temp = 25.0 + rng.uniform(0.0, 6.0)
         soc = 50.0 + 60.0 * (v - 3.6) + 8.0 * c + 1.5 * (temp - 28.0)
-        records.append(
-            SampleRecord(t=float(i), voltage=v, current=c, temperature=temp,
-                         soc=float(np.clip(soc, 0.0, 100.0)))
-        )
-    return Dataset(records=tuple(records), name=name)
+        rows.append((float(i), v, c, temp, float(np.clip(soc, 0.0, 100.0))))
+    return dataset_from_rows(rows, name=name)
 
 
 def small_cfg(**overrides):
@@ -397,7 +395,7 @@ class TestEvaluate:
             weights=[np.zeros((3, 1))],
             biases=[np.array([c])],
         )
-        targets = np.array([r.soc for r in test.records])
+        targets = test.soc
         expect = float(np.mean(np.abs(targets - c)))
         np.testing.assert_allclose(evaluate(net, norm, test), expect, rtol=1e-12)
 
@@ -406,12 +404,26 @@ class TestEvaluate:
         norm = fit_normalizer(test)
         net = init_network(make_specs(1, 8, 0.0), seed=2)
         pred = predict(net, apply_normalizer(norm, test))
-        targets = np.array([r.soc for r in test.records])
+        targets = test.soc
         expect = float(np.mean(np.abs(pred - targets)))
         np.testing.assert_allclose(evaluate(net, norm, test), expect, rtol=1e-15)
+
+    def test_non_finite_prediction_raises(self):
+        test = affine_dataset(30, seed=42)
+        norm = fit_normalizer(test)
+        # Finite weights whose output layer computes inf - inf = NaN.
+        net = Network(
+            layers=(LayerSpec(3, 2, "relu"), LayerSpec(2, 1, "linear")),
+            weights=[np.full((3, 2), 1e308), np.array([[1.0], [-1.0]])],
+            biases=[np.zeros(2), np.zeros(1)],
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match="non-finite"
+        ):
+            evaluate(net, norm, test)
 
     def test_empty_test_rejected(self):
         norm = fit_normalizer(affine_dataset(10, seed=0))
         net = init_network(make_specs(1, 4, 0.0), seed=1)
         with pytest.raises(ConfigError):
-            evaluate(net, norm, Dataset(records=(), name="none"))
+            evaluate(net, norm, dataset_from_rows([], name="none"))
