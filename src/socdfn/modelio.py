@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .data import Normalizer
-from .errors import ModelFormatError
+from .errors import ConfigError, ModelFormatError, ShapeError
 from .network import LayerSpec, Network
 from .train import CVReport, RunHistory
 
@@ -30,15 +30,17 @@ def _encode_array(arr: np.ndarray) -> str:
 
 
 def _decode_array(text: str, size: int, what: str) -> np.ndarray:
+    if not isinstance(text, str):
+        raise ModelFormatError(f"{what}: payload is not a string")
     try:
         raw = base64.b64decode(text.encode("ascii"), validate=True)
     except (ValueError, UnicodeEncodeError):
         raise ModelFormatError(f"{what}: invalid base64 payload") from None
-    arr = np.frombuffer(raw, dtype="<f8")
-    if arr.size != size:
+    if len(raw) != 8 * size:
         raise ModelFormatError(
-            f"{what}: expected {size} float64 values, got {arr.size}"
+            f"{what}: expected {size} float64 values, got {len(raw) / 8:g}"
         )
+    arr = np.frombuffer(raw, dtype="<f8")
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"{what}: non-finite value in payload")
     return arr.astype(np.float64)
@@ -70,9 +72,11 @@ def save_model(net: Network, norm: Normalizer, path, meta: dict | None = None) -
         fh.write("\n")
 
 
-def _require(doc: dict, key: str):
+def _require(doc: dict, key: str, kind: type = object):
     if key not in doc:
         raise ModelFormatError(f"model file missing key {key!r}")
+    if not isinstance(doc[key], kind):
+        raise ModelFormatError(f"model file key {key!r} is not a {kind.__name__}")
     return doc[key]
 
 
@@ -84,10 +88,14 @@ def load_model(path) -> tuple[Network, Normalizer, dict]:
     disagrees with the declared layer specs, and on NaN or infinite
     values. A failed load never returns a partial model.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(
+            f"corrupt model file: invalid UTF-8 at offset {e.start}"
+        ) from None
     except json.JSONDecodeError as e:
         raise ModelFormatError(
             f"corrupt model file: {e.msg} at offset {e.pos}"
@@ -113,10 +121,10 @@ def load_model(path) -> tuple[Network, Normalizer, dict]:
             )
             for d in layer_docs
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"bad layer spec in model file: {e}") from None
-    weight_texts = _require(doc, "weights")
-    bias_texts = _require(doc, "biases")
+    weight_texts = _require(doc, "weights", list)
+    bias_texts = _require(doc, "biases", list)
     if len(weight_texts) != len(specs) or len(bias_texts) != len(specs):
         raise ModelFormatError(
             f"{len(specs)} layers but {len(weight_texts)} weight and "
@@ -130,7 +138,7 @@ def load_model(path) -> tuple[Network, Normalizer, dict]:
         )
         weights.append(w.reshape(spec.in_dim, spec.out_dim))
         biases.append(_decode_array(bias_texts[i], spec.out_dim, f"layer {i} biases"))
-    norm_doc = _require(doc, "normalizer")
+    norm_doc = _require(doc, "normalizer", dict)
     in_dim = specs[0].in_dim
     norm = Normalizer(
         mean=_decode_array(norm_doc.get("mean", ""), in_dim, "normalizer mean"),
@@ -138,7 +146,12 @@ def load_model(path) -> tuple[Network, Normalizer, dict]:
     )
     if not np.all(norm.std > 0.0):
         raise ModelFormatError("normalizer std entries must be positive")
-    net = Network(layers=specs, weights=weights, biases=biases)
+    try:
+        net = Network(layers=specs, weights=weights, biases=biases)
+    except (ConfigError, ShapeError) as e:
+        raise ModelFormatError(
+            f"model file layers do not form a network: {e}"
+        ) from None
     meta = doc.get("meta", {})
     return net, norm, meta
 

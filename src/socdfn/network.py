@@ -64,15 +64,22 @@ class RegConfig:
 class Network:
     """Layer specs plus live parameter arrays.
 
-    `version` counts in-place parameter updates; forward caches record it
-    so backward can refuse to run against parameters that changed after
-    the cached pass.
+    Every weight and bias is a view into one contiguous float64 vector,
+    `flat`, laid out W0, b0, W1, b1, ...; `layout` lists those shapes.
+    The constructor copies the arrays it is given, so a network never
+    aliases its caller's memory. `weights` and `biases` are tuples:
+    change a parameter by writing into its view
+    (`net.weights[i][...] = w`), then bump `version`. Forward caches
+    record `version` so backward can refuse to run against parameters
+    that changed after the cached pass.
     """
 
     layers: tuple[LayerSpec, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
     version: int = 0
+    flat: np.ndarray = field(init=False, repr=False)
+    layout: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -106,19 +113,75 @@ class Network:
                     f"layer {i} biases {b.shape} do not match spec "
                     f"({spec.out_dim},)"
                 )
+        self.flat, self.layout, self.weights, self.biases = _pack(
+            self.weights, self.biases
+        )
 
     @property
     def in_dim(self) -> int:
         return self.layers[0].in_dim
 
     def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.flat.size
 
 
 @dataclass(eq=False)
 class GradientSet:
-    dweights: list[np.ndarray]
-    dbiases: list[np.ndarray]
+    """Per-layer gradients, laid out like Network parameters.
+
+    dweights/dbiases are views into one flat vector, `flat`, with the
+    same order and `layout` as Network.flat, so an update rule works on
+    the whole vector at once. The constructor copies the arrays it is
+    given.
+    """
+
+    dweights: tuple[np.ndarray, ...]
+    dbiases: tuple[np.ndarray, ...]
+    flat: np.ndarray = field(init=False, repr=False)
+    layout: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if len(self.dweights) != len(self.dbiases):
+            raise ShapeError(
+                f"{len(self.dweights)} weight gradients but "
+                f"{len(self.dbiases)} bias gradients"
+            )
+        self.flat, self.layout, self.dweights, self.dbiases = _pack(
+            self.dweights, self.dbiases
+        )
+
+    @classmethod
+    def zeros_like(cls, net: Network) -> "GradientSet":
+        return cls(
+            dweights=[np.broadcast_to(0.0, w.shape) for w in net.weights],
+            dbiases=[np.broadcast_to(0.0, b.shape) for b in net.biases],
+        )
+
+
+def flat_views(layout) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """A new zeroed float64 vector and one view of it per shape in layout."""
+    flat = np.zeros(sum(math.prod(shape) for shape in layout))
+    views = []
+    start = 0
+    for shape in layout:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return flat, tuple(views)
+
+
+def _pack(weights, biases):
+    """Copy per-layer weights and biases into one new flat vector.
+
+    Returns (flat, layout, weight views, bias views); the vector holds
+    W0, b0, W1, b1, ... in that order.
+    """
+    arrays = [a for pair in zip(weights, biases) for a in pair]
+    layout = tuple(np.shape(a) for a in arrays)
+    flat, views = flat_views(layout)
+    for view, a in zip(views, arrays):
+        view[...] = a
+    return flat, layout, views[0::2], views[1::2]
 
 
 @dataclass(eq=False)
@@ -132,6 +195,44 @@ class ForwardCache:
     pred: np.ndarray | None = None
     net: Network | None = None
     net_version: int = -1
+
+
+class StepBuffers:
+    """Arrays that training steps reuse from batch to batch.
+
+    forward, backward and optimize.apply_update, given a StepBuffers,
+    write pre-activations, activations, dropout and ReLU masks, backward
+    deltas, the gradient set and the update's scratch vectors into
+    arrays kept here (one set per batch shape) instead of allocating
+    new ones. So the cache and gradient set such a call returns are
+    overwritten by the next call with the same buffers. One train_epoch
+    call owns one; it is not shared between threads. Calls without
+    buffers return fresh arrays that no later call touches.
+    """
+
+    def __init__(self):
+        self._kept = {}
+
+    def array(self, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        key = (name, shape, dtype)
+        arr = self._kept.get(key)
+        if arr is None:
+            arr = self._kept[key] = np.empty(shape, dtype)
+        return arr
+
+    def gradients(self, net: Network) -> GradientSet:
+        key = ("gradients", net.layout)
+        grads = self._kept.get(key)
+        if grads is None:
+            grads = self._kept[key] = GradientSet.zeros_like(net)
+        return grads
+
+
+def _array(buffers: StepBuffers | None, name, shape, dtype=np.float64) -> np.ndarray:
+    """The array buffers keep under name for this shape, or a new one."""
+    if buffers is None:
+        return np.empty(shape, dtype)
+    return buffers.array(name, shape, dtype)
 
 
 def make_specs(
@@ -195,13 +296,15 @@ def forward(
     mode: str = "inference",
     dropout_rng: np.random.Generator | None = None,
     dropout_masks: list | None = None,
+    buffers: StepBuffers | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the stack; returns (predictions, cache).
 
     In train mode, dropout masks are drawn from dropout_rng unless an
     explicit mask list (as recorded in a previous cache) is supplied for
-    replay. Inference mode is a pure function of (net, x); its cache
-    holds no per-layer arrays.
+    replay, and the layer arrays come from `buffers` when given (see
+    StepBuffers). Inference mode is a pure function of (net, x); its
+    cache holds no per-layer arrays.
     """
     if mode not in ("train", "inference"):
         raise ConfigError(f"mode must be 'train' or 'inference', got {mode!r}")
@@ -217,18 +320,24 @@ def forward(
     cache = ForwardCache(mode=mode, net=net, net_version=net.version)
     a = x
     for li, spec in enumerate(net.layers):
-        z = a @ net.weights[li]
-        z += net.biases[li]
         if mode == "inference":
             # Nothing replays an inference pass: activate in place and
             # keep no per-layer arrays.
+            z = a @ net.weights[li]
+            z += net.biases[li]
             if spec.activation == "relu":
                 np.maximum(z, 0.0, out=z)
             a = z
             continue
+        shape = (x.shape[0], spec.out_dim)
+        z = np.matmul(a, net.weights[li], out=_array(buffers, ("z", li), shape))
+        z += net.biases[li]
         cache.inputs.append(a)
         cache.pre_acts.append(z)
-        a = np.maximum(z, 0.0) if spec.activation == "relu" else z
+        if spec.activation == "relu":
+            a = np.maximum(z, 0.0, out=_array(buffers, ("a", li), shape))
+        else:
+            a = z
         mask = None
         if spec.dropout_after > 0.0:
             keep = 1.0 - spec.dropout_after
@@ -239,8 +348,11 @@ def forward(
                         f"replay mask for layer {li} missing or misshapen"
                     )
             else:
-                mask = (dropout_rng.random(a.shape) < keep).astype(np.float64)
-            a = a * mask / keep
+                mask = dropout_rng.random(out=_array(buffers, ("mask", li), shape))
+                np.less(mask, keep, out=mask)
+            # (a * mask) / keep; with ReLU this overwrites a in place.
+            a = np.multiply(a, mask, out=_array(buffers, ("a", li), shape))
+            a /= keep
         cache.masks.append(mask)
     pred = a[:, 0]
     cache.pred = pred
@@ -272,15 +384,16 @@ def data_loss(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
     raise ConfigError(f"unknown loss {kind!r}, expected one of {LOSS_KINDS}")
 
 
-def penalty(net: Network, reg: RegConfig) -> float:
+def penalty(net: Network, reg: RegConfig, buffers: StepBuffers | None = None) -> float:
     """l2 * sum of squared weights + l1 * sum of absolute weights."""
     if reg.l1 == 0.0 and reg.l2 == 0.0:
         return 0.0
     sum_sq = 0.0
     sum_abs = 0.0
-    for w in net.weights:
-        sum_sq += float(np.sum(w * w))
-        sum_abs += float(np.sum(np.abs(w)))
+    for li, w in enumerate(net.weights):
+        scratch = _array(buffers, ("reg", li), w.shape)
+        sum_sq += float(np.sum(np.multiply(w, w, out=scratch)))
+        sum_abs += float(np.sum(np.abs(w, out=scratch)))
     return reg.l2 * sum_sq + reg.l1 * sum_abs
 
 
@@ -290,12 +403,15 @@ def backward(
     target: np.ndarray,
     reg: RegConfig,
     loss_kind: str = "mse",
+    buffers: StepBuffers | None = None,
 ) -> tuple[GradientSet, float]:
     """Gradients of [data loss + penalties] for every weight and bias.
 
     The cache must come from a train-mode forward against the current
-    parameters; dropout masks recorded there are replayed exactly.
-    Returns the gradient set and the full objective value.
+    parameters; dropout masks recorded there are replayed exactly, and
+    the cache's arrays are left as they were. With `buffers`, the deltas
+    and the returned gradient set are arrays kept there (see
+    StepBuffers). Returns the gradient set and the full objective value.
     """
     if cache.mode != "train":
         raise ContractError("backward needs a train-mode forward cache")
@@ -315,33 +431,43 @@ def backward(
     n = pred.shape[0]
 
     base = data_loss(pred, target, loss_kind)
+    dpred = np.subtract(pred, target, out=_array(buffers, "dpred", (n,)))
     if loss_kind == "mse":
-        dpred = (2.0 / n) * (pred - target)
+        dpred *= 2.0 / n
     else:
-        dpred = np.sign(pred - target) / n
+        np.sign(dpred, out=dpred)
+        dpred /= n
 
+    grads = GradientSet.zeros_like(net) if buffers is None else buffers.gradients(net)
+    # grad is the delta arriving at layer li's output. It is always an
+    # array this call owns, so masking and the ReLU derivative are
+    # applied in place, turning it into dz.
     grad = dpred[:, None]
-    dweights: list[np.ndarray] = [None] * len(net.layers)
-    dbiases: list[np.ndarray] = [None] * len(net.layers)
     for li in range(len(net.layers) - 1, -1, -1):
         spec = net.layers[li]
+        w = net.weights[li]
         mask = cache.masks[li]
         if mask is not None:
-            grad = grad * mask / (1.0 - spec.dropout_after)
+            grad *= mask
+            grad /= 1.0 - spec.dropout_after
         if spec.activation == "relu":
-            dz = grad * (cache.pre_acts[li] > 0.0)
-        else:
-            dz = grad
-        dw = cache.inputs[li].T @ dz
+            active = _array(buffers, ("relu", li), grad.shape, bool)
+            grad *= np.greater(cache.pre_acts[li], 0.0, out=active)
+        dw = np.matmul(cache.inputs[li].T, grad, out=grads.dweights[li])
+        if reg.l2 > 0.0 or reg.l1 > 0.0:
+            scratch = _array(buffers, ("reg", li), w.shape)
         if reg.l2 > 0.0:
-            dw += 2.0 * reg.l2 * net.weights[li]
+            dw += np.multiply(2.0 * reg.l2, w, out=scratch)
         if reg.l1 > 0.0:
-            dw += reg.l1 * np.sign(net.weights[li])
-        dweights[li] = dw
-        dbiases[li] = dz.sum(axis=0)
+            np.sign(w, out=scratch)
+            scratch *= reg.l1
+            dw += scratch
+        np.sum(grad, axis=0, out=grads.dbiases[li])
         if li > 0:
-            grad = dz @ net.weights[li].T
-    return GradientSet(dweights=dweights, dbiases=dbiases), base + penalty(net, reg)
+            grad = np.matmul(
+                grad, w.T, out=_array(buffers, ("grad", li - 1), (n, spec.in_dim))
+            )
+    return grads, base + penalty(net, reg, buffers)
 
 
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
@@ -370,9 +496,13 @@ def predict_soc(net: Network, norm: Normalizer, dataset: Dataset) -> np.ndarray:
     """Normalize the dataset's features, run inference, clamp to [0, 100] percent.
 
     Non-finite predictions raise NumericError: NaN would pass the clamp.
+    That error reports the overflow, so numpy's own warnings about it
+    are silenced.
     """
     if norm is None:
         raise ContractError("predict_soc needs a fitted normalizer")
     x = normalize_features(norm, feature_matrix(dataset))
-    pred = require_finite_predictions(predict(net, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = predict(net, x)
+    require_finite_predictions(pred)
     return np.clip(pred, 0.0, 100.0, out=pred)

@@ -30,6 +30,7 @@ from .errors import ConfigError, NumericError
 from .network import (
     Network,
     RegConfig,
+    StepBuffers,
     backward,
     data_loss,
     forward,
@@ -128,9 +129,13 @@ def train_epoch(
 
     Batch order reshuffles per epoch from shuffle_seed + epoch, and the
     dropout stream is keyed on (shuffle_seed, "dropout", epoch) unless an
-    explicit generator is supplied. Validation fields of the returned
-    metrics are NaN; fit() fills them in.
+    explicit generator is supplied. Every batch's forward, backward and
+    update reuse the arrays of one StepBuffers, which is freed when the
+    epoch ends, so it does not add to the memory of fit's validation
+    pass. Validation fields of the returned metrics are NaN; fit() fills
+    them in.
     """
+    buffers = StepBuffers()
     if dropout_rng is None:
         dropout_rng = substream(cfg.shuffle_seed, "dropout", epoch)
     epoch_seed = shift_seed(cfg.shuffle_seed, epoch)
@@ -138,14 +143,20 @@ def train_epoch(
     mae_sum = 0.0
     n_rows = 0
     for batch in batch_iter(x, y, cfg.batch_size, shuffle_seed=epoch_seed):
-        _, cache = forward(net, batch.x, mode="train", dropout_rng=dropout_rng)
-        grads, objective = backward(net, cache, batch.y, cfg.reg, cfg.loss)
+        _, cache = forward(
+            net, batch.x, mode="train", dropout_rng=dropout_rng, buffers=buffers
+        )
+        grads, objective = backward(
+            net, cache, batch.y, cfg.reg, cfg.loss, buffers=buffers
+        )
         _check_finite(objective, "training loss")
         b = batch.x.shape[0]
         loss_sum += objective * b
         mae_sum += loss_mae(cache.pred, batch.y) * b
         n_rows += b
-        net, opt_state = apply_update(opt_state, net, grads, cfg.optimizer)
+        net, opt_state = apply_update(
+            opt_state, net, grads, cfg.optimizer, buffers=buffers
+        )
     metrics = EpochMetrics(
         train_loss=loss_sum / n_rows,
         train_mae=mae_sum / n_rows,
@@ -317,8 +328,14 @@ def cross_validate(
 
 
 def evaluate(net: Network, norm: Normalizer, test: Dataset) -> float:
-    """Inference-mode test MAE, unclamped; non-finite predictions raise."""
+    """Inference-mode test MAE, unclamped; non-finite predictions raise.
+
+    That error reports the overflow, so numpy's own warnings about it
+    are silenced.
+    """
     if len(test) == 0:
         raise ConfigError("test set must be non-empty")
-    pred = require_finite_predictions(predict(net, apply_normalizer(norm, test)))
-    return mae(pred, test.soc)
+    x = apply_normalizer(norm, test)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = predict(net, x)
+    return mae(require_finite_predictions(pred), test.soc)

@@ -1,13 +1,18 @@
 """End-to-end tests of the command line, run in-process via main()."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import rows_of, run_cli
 
+import socdfn
 from socdfn.data import load_csv
 from socdfn.modelio import load_model, save_model
 from socdfn.network import LayerSpec, Network
@@ -328,6 +333,20 @@ def trained(cycle_csv, tmp_path_factory):
     return model, test_csv
 
 
+def overflow_model(model, tmp_path):
+    """A model file whose stored values are all finite, so it loads; its
+    output layer computes inf - inf = NaN on the rows that overflow."""
+    _, norm, meta = load_model(model)
+    net = Network(
+        layers=(LayerSpec(3, 2, "relu"), LayerSpec(2, 1, "linear")),
+        weights=[np.full((3, 2), 1e308), np.array([[1.0], [-1.0]])],
+        biases=[np.zeros(2), np.zeros(1)],
+    )
+    bad = tmp_path / "overflow.json"
+    save_model(net, norm, bad, meta)
+    return bad
+
+
 class TestPredict:
     def test_labeled_csv_accepted(self, trained, tmp_path):
         model, test_csv = trained
@@ -380,17 +399,8 @@ class TestPredict:
         assert not out.exists()
 
     def test_non_finite_prediction_exit_5(self, trained, tmp_path):
-        # Every stored value is finite, so the model loads; its output
-        # layer computes inf - inf = NaN on the rows that overflow.
         model, test_csv = trained
-        _, norm, meta = load_model(model)
-        net = Network(
-            layers=(LayerSpec(3, 2, "relu"), LayerSpec(2, 1, "linear")),
-            weights=[np.full((3, 2), 1e308), np.array([[1.0], [-1.0]])],
-            biases=[np.zeros(2), np.zeros(1)],
-        )
-        bad = tmp_path / "overflow.json"
-        save_model(net, norm, bad, meta)
+        bad = overflow_model(model, tmp_path)
         out = tmp_path / "predictions.csv"
         with np.errstate(over="ignore", invalid="ignore"):
             code, _, err = run_cli(["predict", "--model", str(bad), "--data",
@@ -398,6 +408,26 @@ class TestPredict:
         assert code == 5
         assert "non-finite" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_overflow_reports_error_without_numpy_warnings(trained, tmp_path, command):
+    # A separate interpreter with Python's default warning filters, as
+    # from a shell, so any numpy RuntimeWarning would print to stderr.
+    model, test_csv = trained
+    argv = [command, "--model", str(overflow_model(model, tmp_path)),
+            "--data", str(test_csv)]
+    if command == "predict":
+        argv += ["--out", str(tmp_path / "predictions.csv")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(socdfn.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "socdfn.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 5
+    assert re.search(r"^error: .*non-finite", proc.stderr, re.MULTILINE)
+    assert "RuntimeWarning" not in proc.stderr
 
 
 class TestParser:

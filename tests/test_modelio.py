@@ -1,5 +1,6 @@
 """Tests for model persistence and the CSV/gnuplot report writers."""
 
+import base64
 import json
 import math
 
@@ -188,6 +189,66 @@ class TestLoadModelErrors:
 
         path = self.write_doc(tmp_path, strip)
         with pytest.raises(ModelFormatError, match="bad layer spec"):
+            load_model(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"format_version": "\xff"}')
+        with pytest.raises(ModelFormatError, match="invalid UTF-8 at offset 20"):
+            load_model(path)
+
+    def test_payload_not_whole_float64_values(self, tmp_path):
+        def short(d):
+            d["biases"][0] = base64.b64encode(bytes(12)).decode("ascii")
+
+        path = self.write_doc(tmp_path, short)
+        with pytest.raises(ModelFormatError, match="layer 0 biases: expected 8"):
+            load_model(path)
+
+    def test_infinite_layer_dim(self, tmp_path):
+        path = self.write_doc(
+            tmp_path, lambda d: d["layers"][0].update(in_dim=math.inf)
+        )
+        with pytest.raises(ModelFormatError, match="bad layer spec"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d["layers"][-1].update(activation="relu"),
+            lambda d: d["layers"][1].update(in_dim=4, out_dim=4),
+        ],
+        ids=["relu-output", "broken-chain"],
+    )
+    def test_layers_that_form_no_network(self, tmp_path, mutate):
+        # Every payload matches its own layer spec, but the specs do
+        # not chain into a scalar regression network.
+        def rewrite(d):
+            mutate(d)
+            d["weights"] = [
+                base64.b64encode(bytes(8 * s["in_dim"] * s["out_dim"])).decode("ascii")
+                for s in d["layers"]
+            ]
+            d["biases"] = [
+                base64.b64encode(bytes(8 * s["out_dim"])).decode("ascii")
+                for s in d["layers"]
+            ]
+
+        path = self.write_doc(tmp_path, rewrite)
+        with pytest.raises(ModelFormatError, match="layers do not form a network"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.update(weights=5), "'weights' is not a list"),
+            (lambda d: d.update(normalizer=[]), "'normalizer' is not a dict"),
+            (lambda d: d["biases"].__setitem__(1, 7), "layer 1 biases: payload is not"),
+        ],
+    )
+    def test_wrong_json_type(self, tmp_path, mutate, message):
+        path = self.write_doc(tmp_path, mutate)
+        with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
     def test_missing_file_is_oserror(self, tmp_path):

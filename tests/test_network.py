@@ -218,8 +218,8 @@ class TestDropout:
             LayerSpec(8, 1, "linear"),
         )
         net = init_network(specs, seed=7)
-        net.weights[1] = np.ones((8, 1))
-        net.biases[1] = np.zeros(1)
+        net.weights[1][...] = 1.0
+        net.biases[1][...] = 0.0
         return net
 
     def test_train_without_stream_is_contract_error(self):
@@ -486,6 +486,28 @@ class TestBackward:
             assert g.shape == w.shape
         for g, b in zip(grads.dbiases, net.biases):
             assert g.shape == b.shape
+
+
+class TestResultsAreNotReused:
+    def test_second_call_leaves_first_results_unchanged(self):
+        # Outside training every call returns arrays of its own, so a
+        # second pass of the same shape must not write into the first.
+        net = init_network(make_specs(4, 8, 0.5), seed=3)
+        rng = make_rng(5)
+        x1, x2 = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        y1, y2 = rng.normal(size=6), rng.normal(size=6)
+        stream = make_rng(6)
+        reg = RegConfig(l1=0.01, l2=0.01)
+        pred, cache = forward(net, x1, mode="train", dropout_rng=stream)
+        grads, _ = backward(net, cache, y1, reg)
+        held = [pred, *cache.inputs, *cache.pre_acts, grads.flat]
+        held += [m for m in cache.masks if m is not None]
+        before = [a.copy() for a in held]
+        _, cache2 = forward(net, x2, mode="train", dropout_rng=stream)
+        backward(net, cache2, y2, reg)
+        backward(net, cache, y1, reg)
+        for a, b in zip(held, before):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestPredictSoc:

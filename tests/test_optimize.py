@@ -18,6 +18,7 @@ from socdfn.optimize import (
     rmsprop_step,
     sgd_step,
 )
+from socdfn.rng import make_rng
 
 
 def one_param_net(w0=1.0):
@@ -297,3 +298,83 @@ class TestConvergence:
 
     def test_adam_converges(self):
         assert self.steps_to_converge("adam", 0.01) <= 3000
+
+
+def reference_step(kind, cfg, params, grads, first, second, step):
+    """One update in the per-array formulas and operation order of the rules.
+
+    params, first and second are lists of arrays updated in place; step
+    is the 1-based step number.
+    """
+    bc1 = 1.0 - cfg.beta1**step
+    bc2 = 1.0 - cfg.beta2**step
+    for p, g, m, v in zip(params, grads, first, second):
+        if kind == "sgd":
+            p -= cfg.learning_rate * g
+        elif kind == "rmsprop":
+            v *= cfg.rho
+            v += (1.0 - cfg.rho) * g * g
+            p -= cfg.learning_rate * g / (np.sqrt(v) + cfg.epsilon)
+        else:
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+
+
+class TestFlatLayout:
+    def interleaved(self, weights, biases):
+        return [a for pair in zip(weights, biases) for a in pair]
+
+    @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
+    def test_flat_update_matches_per_array_formulas(self, kind):
+        net = init_network(make_specs(2, 16, 0.0), seed=4)
+        ref = [a.copy() for a in self.interleaved(net.weights, net.biases)]
+        ref_m = [np.zeros_like(a) for a in ref]
+        ref_v = [np.zeros_like(a) for a in ref]
+        cfg = OptimizerConfig(kind=kind, learning_rate=0.01)
+        state = init_state(net)
+        rng = make_rng(17)
+        for step in range(1, 51):
+            dw = [rng.normal(size=w.shape) for w in net.weights]
+            db = [rng.normal(size=b.shape) for b in net.biases]
+            apply_update(state, net, GradientSet(dweights=dw, dbiases=db), cfg)
+            reference_step(kind, cfg, ref, self.interleaved(dw, db), ref_m, ref_v, step)
+        got = self.interleaved(net.weights, net.biases)
+        for a, b in zip(got + list(state.first_moment) + list(state.second_moment),
+                        ref + ref_m + ref_v):
+            np.testing.assert_array_equal(a, b)
+        assert state.step == 50
+
+    def test_each_set_of_arrays_shares_one_buffer(self):
+        net = init_network(make_specs(2, 16, 0.0), seed=4)
+        grads = GradientSet.zeros_like(net)
+        state = init_state(net)
+        groups = (
+            (net.flat, net.weights + net.biases),
+            (grads.flat, grads.dweights + grads.dbiases),
+            (state.m, state.first_moment),
+            (state.v, state.second_moment),
+        )
+        for flat, views in groups:
+            assert flat.size == net.parameter_count()
+            assert all(np.shares_memory(flat, a) for a in views)
+        flats = [flat for flat, _ in groups]
+        for i, a in enumerate(flats):
+            for b in flats[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_network_copies_caller_arrays(self):
+        w = [np.ones((3, 2)), np.ones((2, 1))]
+        b = [np.zeros(2), np.zeros(1)]
+        net = Network(
+            layers=(LayerSpec(3, 2, "relu"), LayerSpec(2, 1, "linear")),
+            weights=w,
+            biases=b,
+        )
+        for caller, own in zip(w + b, net.weights + net.biases):
+            assert not np.shares_memory(caller, own)
+        sgd_step(net, GradientSet(dweights=w, dbiases=b), OptimizerConfig(kind="sgd"))
+        np.testing.assert_array_equal(w[0], np.ones((3, 2)))
+        assert net.weights[0][0, 0] == 1.0 - 1e-3

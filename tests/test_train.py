@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from socdfn.network import (
     LayerSpec,
     Network,
     RegConfig,
+    StepBuffers,
+    backward,
+    forward,
     init_network,
     make_specs,
     penalty,
     predict,
 )
-from socdfn.optimize import OptimizerConfig, init_state
+from socdfn.optimize import OptimizerConfig, apply_update, init_state
 from socdfn import train
 from socdfn.rng import make_rng
 from socdfn.train import (
@@ -159,6 +163,47 @@ class TestTrainEpoch:
             with pytest.raises(NumericError, match="diverged"):
                 for epoch in range(3):
                     train_epoch(net, init_state(net), x, y, cfg, epoch=epoch)
+
+    @pytest.mark.parametrize("hidden, dropout", [(2, 0.0), (4, 0.5)])
+    def test_second_step_allocates_no_layer_array(self, hidden, dropout):
+        # A 2x256 step that allocated one activation, delta, gradient or
+        # update vector would pass 128 * 256 float64 values.
+        x, y = affine_batch(128, seed=7)
+        net = init_network(make_specs(hidden, 256, dropout), seed=1)
+        state = init_state(net)
+        buffers = StepBuffers()
+        stream = make_rng(3)
+
+        def step():
+            _, cache = forward(net, x, "train", dropout_rng=stream, buffers=buffers)
+            grads, _ = backward(net, cache, y, RegConfig(), buffers=buffers)
+            apply_update(state, net, grads, OptimizerConfig(), buffers=buffers)
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 256 * 8
+
+    def test_every_step_of_an_epoch_shares_one_buffer_set(self, monkeypatch):
+        seen = []
+        for name in ("forward", "backward", "apply_update"):
+            real = getattr(train, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                seen.append((_name, kwargs.get("buffers")))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(train, name, spy)
+        x, y = affine_batch(300, seed=8)
+        net = init_network(make_specs(2, 8, 0.0), seed=2)
+        train_epoch(net, init_state(net), x, y, small_cfg(batch_size=128))
+        assert [n for n, _ in seen] == ["forward", "backward", "apply_update"] * 3
+        assert isinstance(seen[0][1], StepBuffers)
+        assert all(b is seen[0][1] for _, b in seen)
 
 
 class TestFit:
