@@ -40,21 +40,23 @@ class CellParams:
     heat_coeff_k_per_w: float = 8.0
 
     def __post_init__(self):
-        if self.capacity_ah <= 0.0:
+        if not 0.0 < self.capacity_ah < math.inf:
             raise ConfigError(f"capacity_ah must be positive, got {self.capacity_ah}")
-        if self.ocv_full_v <= self.ocv_empty_v:
+        if not -math.inf < self.ocv_empty_v < self.ocv_full_v < math.inf:
             raise ConfigError(
                 f"ocv_full_v ({self.ocv_full_v}) must exceed "
                 f"ocv_empty_v ({self.ocv_empty_v})"
             )
-        if self.r_internal_ohm < 0.0:
+        if not 0.0 <= self.r_internal_ohm < math.inf:
             raise ConfigError(
                 f"r_internal_ohm must be non-negative, got {self.r_internal_ohm}"
             )
-        if self.thermal_tau_s <= 0.0:
+        if not 0.0 < self.thermal_tau_s < math.inf:
             raise ConfigError(
                 f"thermal_tau_s must be positive, got {self.thermal_tau_s}"
             )
+        if not -math.inf < self.ambient_c < math.inf:
+            raise ConfigError(f"ambient_c must be finite, got {self.ambient_c}")
 
     def ocv(self, soc_pct: float) -> float:
         """Open-circuit voltage, linear in SOC."""
@@ -74,13 +76,13 @@ class CycleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt_s <= 0.0:
+        if not 0.0 < self.dt_s < math.inf:
             raise ConfigError(f"dt_s must be positive, got {self.dt_s}")
-        if self.duration_s < self.dt_s:
+        if not self.dt_s <= self.duration_s < math.inf:
             raise ConfigError(
                 f"duration_s ({self.duration_s}) must be at least dt_s ({self.dt_s})"
             )
-        if self.peak_discharge_a <= 0.0:
+        if not 0.0 < self.peak_discharge_a < math.inf:
             raise ConfigError(
                 f"peak_discharge_a must be positive, got {self.peak_discharge_a}"
             )
@@ -143,7 +145,7 @@ def simulate_cell(
     """
     if not 0.0 < soc0_pct <= 100.0:
         raise ConfigError(f"soc0_pct must be in (0, 100], got {soc0_pct}")
-    if dt_s <= 0.0:
+    if not 0.0 < dt_s < math.inf:
         raise ConfigError(f"dt_s must be positive, got {dt_s}")
     profile = np.asarray(profile, dtype=np.float64)
     soc_per_amp_step = 100.0 * dt_s / (3600.0 * params.capacity_ah)

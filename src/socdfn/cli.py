@@ -22,8 +22,6 @@ from . import __version__
 from .battsim import CellParams, CycleConfig, synth_dataset
 from .data import (
     concat_datasets,
-    fit_normalizer,
-    apply_normalizer,
     load_csv,
     load_features_csv,
     split_holdout,
@@ -38,10 +36,10 @@ from .modelio import (
     write_gnuplot_script,
     write_history_csv,
 )
-from .network import init_network, make_specs, predict_soc, RegConfig
+from .network import make_specs, predict_soc, RegConfig
 from .optimize import OPTIMIZER_KINDS, OptimizerConfig
 from .rng import BIT_GENERATOR, shift_seed
-from .train import TrainConfig, cross_validate, evaluate, fit
+from .train import TrainConfig, cross_validate, evaluate, fit_datasets
 
 logger = logging.getLogger(__name__)
 
@@ -111,12 +109,9 @@ def _resolve_arch(args) -> tuple[int, int, float]:
     arch = {"hidden": 2, "units": 256, "dropout": 0.0}
     if args.preset is not None:
         arch.update(PRESETS[args.preset])
-    if args.hidden is not None:
-        arch["hidden"] = args.hidden
-    if args.units is not None:
-        arch["units"] = args.units
-    if args.dropout is not None:
-        arch["dropout"] = args.dropout
+    for name in arch:
+        if getattr(args, name) is not None:
+            arch[name] = getattr(args, name)
     return arch["hidden"], arch["units"], arch["dropout"]
 
 
@@ -200,19 +195,15 @@ def _load_and_split(args):
 def cmd_train(args) -> int:
     hidden, units, dropout = _resolve_arch(args)
     train_ds, val_ds, test_ds = _load_and_split(args)
-    norm = fit_normalizer(train_ds)
-    x_tr = apply_normalizer(norm, train_ds)
-    y_tr = train_ds.soc
-    x_va = apply_normalizer(norm, val_ds)
-    y_va = val_ds.soc
     specs = make_specs(hidden, units, dropout)
-    net = init_network(specs, shift_seed(args.seed, 1))
     cfg = _train_config(args)
     logger.info(
         "training %d epochs on %d rows (val %d, test %d)",
         cfg.epochs, len(train_ds), len(val_ds), len(test_ds),
     )
-    net, history = fit(net, x_tr, y_tr, x_va, y_va, cfg)
+    net, norm, history = fit_datasets(
+        specs, shift_seed(args.seed, 1), train_ds, val_ds, cfg
+    )
     test_mae = evaluate(net, norm, test_ds)
     for name, split in (
         ("save_train", train_ds), ("save_val", val_ds), ("save_test", test_ds)

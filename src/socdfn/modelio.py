@@ -80,6 +80,14 @@ def _require(doc: dict, key: str, kind: type = object):
     return doc[key]
 
 
+def _layer_field(layer: dict, key: str, kind, what: str):
+    """layer[key] if it is an instance of kind; JSON true/false never are."""
+    value = layer[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{key} {value!r} is not {what}")
+    return value
+
+
 def load_model(path) -> tuple[Network, Normalizer, dict]:
     """Read a model document back; bit-exact inverse of save_model.
 
@@ -114,10 +122,12 @@ def load_model(path) -> tuple[Network, Normalizer, dict]:
     try:
         specs = tuple(
             LayerSpec(
-                in_dim=int(d["in_dim"]),
-                out_dim=int(d["out_dim"]),
-                activation=str(d["activation"]),
-                dropout_after=float(d["dropout_after"]),
+                in_dim=_layer_field(d, "in_dim", int, "an integer"),
+                out_dim=_layer_field(d, "out_dim", int, "an integer"),
+                activation=_layer_field(d, "activation", str, "a string"),
+                dropout_after=float(
+                    _layer_field(d, "dropout_after", (int, float), "a number")
+                ),
             )
             for d in layer_docs
         )
@@ -152,7 +162,7 @@ def load_model(path) -> tuple[Network, Normalizer, dict]:
         raise ModelFormatError(
             f"model file layers do not form a network: {e}"
         ) from None
-    meta = doc.get("meta", {})
+    meta = _require(doc, "meta", dict) if "meta" in doc else {}
     return net, norm, meta
 
 

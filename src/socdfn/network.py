@@ -53,7 +53,7 @@ class RegConfig:
     l2: float = 0.0
 
     def __post_init__(self):
-        if self.l1 < 0.0 or self.l2 < 0.0:
+        if not (0.0 <= self.l1 < math.inf and 0.0 <= self.l2 < math.inf):
             raise ConfigError(
                 f"penalty coefficients must be non-negative, got "
                 f"l1={self.l1}, l2={self.l2}"
@@ -200,14 +200,12 @@ class ForwardCache:
 class StepBuffers:
     """Arrays that training steps reuse from batch to batch.
 
-    forward, backward and optimize.apply_update, given a StepBuffers,
-    write pre-activations, activations, dropout and ReLU masks, backward
-    deltas, the gradient set and the update's scratch vectors into
-    arrays kept here (one set per batch shape) instead of allocating
-    new ones. So the cache and gradient set such a call returns are
-    overwritten by the next call with the same buffers. One train_epoch
-    call owns one; it is not shared between threads. Calls without
-    buffers return fresh arrays that no later call touches.
+    Train-mode forward, backward, penalty and the optimize update rules
+    write their layer arrays, masks, deltas, gradients and scratch
+    vectors here, one set per batch shape, so the next call with the
+    same buffers overwrites what a call returned. Without buffers a call
+    uses a fresh StepBuffers, so no later call touches its results.
+    One train_epoch call owns one; it is not shared between threads.
     """
 
     def __init__(self):
@@ -226,13 +224,6 @@ class StepBuffers:
         if grads is None:
             grads = self._kept[key] = GradientSet.zeros_like(net)
         return grads
-
-
-def _array(buffers: StepBuffers | None, name, shape, dtype=np.float64) -> np.ndarray:
-    """The array buffers keep under name for this shape, or a new one."""
-    if buffers is None:
-        return np.empty(shape, dtype)
-    return buffers.array(name, shape, dtype)
 
 
 def make_specs(
@@ -302,10 +293,10 @@ def forward(
 
     In train mode, dropout masks are drawn from dropout_rng unless an
     explicit mask list (as recorded in a previous cache) is supplied for
-    replay, and the layer arrays come from `buffers` when given (see
-    StepBuffers). Inference mode is a pure function of (net, x); its
-    cache holds no per-layer arrays.
+    replay. Inference mode is a pure function of (net, x); its cache
+    holds no per-layer arrays.
     """
+    buffers = buffers or StepBuffers()
     if mode not in ("train", "inference"):
         raise ConfigError(f"mode must be 'train' or 'inference', got {mode!r}")
     x = _check_input(net, x)
@@ -330,12 +321,12 @@ def forward(
             a = z
             continue
         shape = (x.shape[0], spec.out_dim)
-        z = np.matmul(a, net.weights[li], out=_array(buffers, ("z", li), shape))
+        z = np.matmul(a, net.weights[li], out=buffers.array(("z", li), shape))
         z += net.biases[li]
         cache.inputs.append(a)
         cache.pre_acts.append(z)
         if spec.activation == "relu":
-            a = np.maximum(z, 0.0, out=_array(buffers, ("a", li), shape))
+            a = np.maximum(z, 0.0, out=buffers.array(("a", li), shape))
         else:
             a = z
         mask = None
@@ -348,10 +339,10 @@ def forward(
                         f"replay mask for layer {li} missing or misshapen"
                     )
             else:
-                mask = dropout_rng.random(out=_array(buffers, ("mask", li), shape))
+                mask = dropout_rng.random(out=buffers.array(("mask", li), shape))
                 np.less(mask, keep, out=mask)
             # (a * mask) / keep; with ReLU this overwrites a in place.
-            a = np.multiply(a, mask, out=_array(buffers, ("a", li), shape))
+            a = np.multiply(a, mask, out=buffers.array(("a", li), shape))
             a /= keep
         cache.masks.append(mask)
     pred = a[:, 0]
@@ -359,39 +350,38 @@ def forward(
     return pred, cache
 
 
-def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
+def data_loss(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
+    """Mean squared ("mse") or mean absolute ("mae") error of 1-D arrays."""
+    if kind not in LOSS_KINDS:
+        raise ConfigError(f"unknown loss {kind!r}, expected one of {LOSS_KINDS}")
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape or pred.ndim != 1:
         raise ShapeError(f"pred {pred.shape} and target {target.shape} must match")
     diff = target - pred
-    return float(np.mean(diff * diff))
+    if kind == "mse":
+        return float(np.mean(diff * diff))
+    return float(np.mean(np.abs(diff)))
+
+
+def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
+    return data_loss(pred, target, "mse")
 
 
 def loss_mae(pred: np.ndarray, target: np.ndarray) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape or pred.ndim != 1:
-        raise ShapeError(f"pred {pred.shape} and target {target.shape} must match")
-    return float(np.mean(np.abs(target - pred)))
-
-
-def data_loss(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
-    if kind == "mse":
-        return loss_mse(pred, target)
-    if kind == "mae":
-        return loss_mae(pred, target)
-    raise ConfigError(f"unknown loss {kind!r}, expected one of {LOSS_KINDS}")
+    """Mean absolute error in the target's units (SOC percent here)."""
+    return data_loss(pred, target, "mae")
 
 
 def penalty(net: Network, reg: RegConfig, buffers: StepBuffers | None = None) -> float:
     """l2 * sum of squared weights + l1 * sum of absolute weights."""
     if reg.l1 == 0.0 and reg.l2 == 0.0:
         return 0.0
+    buffers = buffers or StepBuffers()
     sum_sq = 0.0
     sum_abs = 0.0
     for li, w in enumerate(net.weights):
-        scratch = _array(buffers, ("reg", li), w.shape)
+        scratch = buffers.array(("reg", li), w.shape)
         sum_sq += float(np.sum(np.multiply(w, w, out=scratch)))
         sum_abs += float(np.sum(np.abs(w, out=scratch)))
     return reg.l2 * sum_sq + reg.l1 * sum_abs
@@ -409,10 +399,10 @@ def backward(
 
     The cache must come from a train-mode forward against the current
     parameters; dropout masks recorded there are replayed exactly, and
-    the cache's arrays are left as they were. With `buffers`, the deltas
-    and the returned gradient set are arrays kept there (see
-    StepBuffers). Returns the gradient set and the full objective value.
+    the cache's arrays are left as they were. Returns the gradient set
+    and the full objective value.
     """
+    buffers = buffers or StepBuffers()
     if cache.mode != "train":
         raise ContractError("backward needs a train-mode forward cache")
     if cache.net is not net or cache.net_version != net.version:
@@ -431,14 +421,14 @@ def backward(
     n = pred.shape[0]
 
     base = data_loss(pred, target, loss_kind)
-    dpred = np.subtract(pred, target, out=_array(buffers, "dpred", (n,)))
+    dpred = np.subtract(pred, target, out=buffers.array("dpred", (n,)))
     if loss_kind == "mse":
         dpred *= 2.0 / n
     else:
         np.sign(dpred, out=dpred)
         dpred /= n
 
-    grads = GradientSet.zeros_like(net) if buffers is None else buffers.gradients(net)
+    grads = buffers.gradients(net)
     # grad is the delta arriving at layer li's output. It is always an
     # array this call owns, so masking and the ReLU derivative are
     # applied in place, turning it into dz.
@@ -451,11 +441,11 @@ def backward(
             grad *= mask
             grad /= 1.0 - spec.dropout_after
         if spec.activation == "relu":
-            active = _array(buffers, ("relu", li), grad.shape, bool)
+            active = buffers.array(("relu", li), grad.shape, bool)
             grad *= np.greater(cache.pre_acts[li], 0.0, out=active)
         dw = np.matmul(cache.inputs[li].T, grad, out=grads.dweights[li])
         if reg.l2 > 0.0 or reg.l1 > 0.0:
-            scratch = _array(buffers, ("reg", li), w.shape)
+            scratch = buffers.array(("reg", li), w.shape)
         if reg.l2 > 0.0:
             dw += np.multiply(2.0 * reg.l2, w, out=scratch)
         if reg.l1 > 0.0:
@@ -465,7 +455,7 @@ def backward(
         np.sum(grad, axis=0, out=grads.dbiases[li])
         if li > 0:
             grad = np.matmul(
-                grad, w.T, out=_array(buffers, ("grad", li - 1), (n, spec.in_dim))
+                grad, w.T, out=buffers.array(("grad", li - 1), (n, spec.in_dim))
             )
     return grads, base + penalty(net, reg, buffers)
 
@@ -484,8 +474,18 @@ def predict(net: Network, x: np.ndarray) -> np.ndarray:
     return pred
 
 
-def require_finite_predictions(pred: np.ndarray) -> np.ndarray:
-    """Return pred, or raise NumericError where finite weights overflowed."""
+def predict_finite(net: Network, norm: Normalizer, dataset: Dataset) -> np.ndarray:
+    """Unclamped inference predictions for the dataset's normalized features.
+
+    Non-finite predictions, where finite weights overflowed, raise
+    NumericError, since a NaN would pass predict_soc's clamp. That error
+    reports the overflow, so numpy's own warnings about it are silenced.
+    """
+    if norm is None:
+        raise ContractError("prediction needs a fitted normalizer")
+    x = normalize_features(norm, feature_matrix(dataset))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = predict(net, x)
     bad = np.count_nonzero(~np.isfinite(pred))
     if bad:
         raise NumericError(f"{bad} of {len(pred)} predictions are non-finite")
@@ -493,16 +493,6 @@ def require_finite_predictions(pred: np.ndarray) -> np.ndarray:
 
 
 def predict_soc(net: Network, norm: Normalizer, dataset: Dataset) -> np.ndarray:
-    """Normalize the dataset's features, run inference, clamp to [0, 100] percent.
-
-    Non-finite predictions raise NumericError: NaN would pass the clamp.
-    That error reports the overflow, so numpy's own warnings about it
-    are silenced.
-    """
-    if norm is None:
-        raise ContractError("predict_soc needs a fitted normalizer")
-    x = normalize_features(norm, feature_matrix(dataset))
-    with np.errstate(over="ignore", invalid="ignore"):
-        pred = predict(net, x)
-    require_finite_predictions(pred)
+    """predict_finite clamped to [0, 100] percent."""
+    pred = predict_finite(net, norm, dataset)
     return np.clip(pred, 0.0, 100.0, out=pred)

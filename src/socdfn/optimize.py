@@ -2,17 +2,18 @@
 
 Each rule keeps explicit state and updates the network's flat parameter
 vector in place, as a few whole-vector ufunc calls into two scratch
-vectors (allocated per call unless the caller passes them), and bumps
-the network version counter so stale forward caches are refused. The
-element-wise operations run in the order each rule's formula is
-written, so every result is the same bits as a per-array update.
-Defaults follow common practice: lr=1e-3, beta1=0.9, beta2=0.999,
-rho=0.9, epsilon=1e-8, with epsilon added outside the square root.
+vectors kept in a StepBuffers, and bumps the network version counter
+so stale forward caches are refused. The element-wise operations run
+in the order each rule's formula is written, so every result is the
+same bits as a per-array update. Defaults follow common practice:
+lr=1e-3, beta1=0.9, beta2=0.999, rho=0.9, epsilon=1e-8, with epsilon
+added outside the square root.
 
 A learning rate of exactly zero is accepted: it turns every rule into a
 no-op, which is useful for null-update sanity checks.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,6 @@ from .errors import ConfigError, ShapeError
 from .network import GradientSet, Network, StepBuffers, flat_views
 
 OPTIMIZER_KINDS = ("sgd", "rmsprop", "adam")
-
-# Two vectors of the parameter count that hold a step's intermediates.
-Scratch = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,7 @@ class OptimizerConfig:
             raise ConfigError(
                 f"unknown optimizer {self.kind!r}, expected one of {OPTIMIZER_KINDS}"
             )
-        if self.learning_rate < 0.0:
+        if not 0.0 <= self.learning_rate < math.inf:
             raise ConfigError(
                 f"learning_rate must be non-negative, got {self.learning_rate}"
             )
@@ -51,7 +49,7 @@ class OptimizerConfig:
         ):
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {value}")
-        if self.epsilon <= 0.0:
+        if not 0.0 < self.epsilon < math.inf:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
 
@@ -87,21 +85,20 @@ def _flat_grad(net: Network, grads: GradientSet) -> np.ndarray:
     return grads.flat
 
 
-def _scratch(net: Network, scratch: Scratch | None) -> Scratch:
-    if scratch is None:
-        return np.empty_like(net.flat), np.empty_like(net.flat)
-    return scratch
+def _scratch(net: Network, buffers: StepBuffers) -> tuple[np.ndarray, np.ndarray]:
+    """Two vectors of the parameter count that hold a step's intermediates."""
+    return tuple(buffers.array(("update", i), net.flat.shape) for i in (0, 1))
 
 
 def sgd_step(
     net: Network,
     grads: GradientSet,
     cfg: OptimizerConfig,
-    scratch: Scratch | None = None,
+    buffers: StepBuffers | None = None,
 ) -> Network:
     """w <- w - lr * g for every parameter."""
     g = _flat_grad(net, grads)
-    s, _ = _scratch(net, scratch)
+    s, _ = _scratch(net, buffers or StepBuffers())
     net.flat -= np.multiply(cfg.learning_rate, g, out=s)
     net.version += 1
     return net
@@ -112,11 +109,11 @@ def rmsprop_step(
     net: Network,
     grads: GradientSet,
     cfg: OptimizerConfig,
-    scratch: Scratch | None = None,
+    buffers: StepBuffers | None = None,
 ) -> tuple[Network, OptimizerState]:
     """v <- rho*v + (1-rho)*g^2; w <- w - lr * g / (sqrt(v) + eps)."""
     g = _flat_grad(net, grads)
-    s, t = _scratch(net, scratch)
+    s, t = _scratch(net, buffers or StepBuffers())
     state.v *= cfg.rho
     np.multiply(1.0 - cfg.rho, g, out=s)
     s *= g
@@ -136,7 +133,7 @@ def adam_step(
     net: Network,
     grads: GradientSet,
     cfg: OptimizerConfig,
-    scratch: Scratch | None = None,
+    buffers: StepBuffers | None = None,
 ) -> tuple[Network, OptimizerState]:
     """Adam with bias correction; epsilon sits outside the square root.
 
@@ -144,7 +141,7 @@ def adam_step(
     w <- w - lr * (m / bc1) / (sqrt(v / bc2) + eps).
     """
     g = _flat_grad(net, grads)
-    s, t = _scratch(net, scratch)
+    s, t = _scratch(net, buffers or StepBuffers())
     step = state.step + 1
     bc1 = 1.0 - cfg.beta1**step
     bc2 = 1.0 - cfg.beta2**step
@@ -175,17 +172,13 @@ def apply_update(
 ) -> tuple[Network, OptimizerState]:
     """Dispatch one update by cfg.kind.
 
-    The scratch vectors come from `buffers` when given (see
-    StepBuffers). Raises ShapeError when the gradient layout differs
-    from the network's.
+    Raises ShapeError when the gradient layout differs from the
+    network's.
     """
-    scratch = None
-    if buffers is not None:
-        scratch = tuple(buffers.array(("update", i), net.flat.shape) for i in (0, 1))
     if cfg.kind == "sgd":
-        net = sgd_step(net, grads, cfg, scratch)
+        net = sgd_step(net, grads, cfg, buffers)
         state.step += 1
         return net, state
     if cfg.kind == "rmsprop":
-        return rmsprop_step(state, net, grads, cfg, scratch)
-    return adam_step(state, net, grads, cfg, scratch)
+        return rmsprop_step(state, net, grads, cfg, buffers)
+    return adam_step(state, net, grads, cfg, buffers)

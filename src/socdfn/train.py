@@ -13,7 +13,7 @@ import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .network import (
     loss_mae,
     penalty,
     predict,
-    require_finite_predictions,
+    predict_finite,
 )
 from .optimize import OptimizerConfig, OptimizerState, apply_update, init_state
 from .rng import check_seed, shift_seed, substream
@@ -105,9 +105,7 @@ class CVReport:
     std_val_mae: float
 
 
-def mae(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean absolute error in the target's units (SOC percent here)."""
-    return loss_mae(pred, target)
+mae = loss_mae
 
 
 def _check_finite(value: float, what: str) -> float:
@@ -194,15 +192,19 @@ def fit(
             net, opt_state, x_train, y_train, cfg, epoch=epoch
         )
         val_loss, val_mae = _validation_metrics(net, x_val, y_val, cfg)
-        history.append(
-            EpochMetrics(
-                train_loss=train_metrics.train_loss,
-                train_mae=train_metrics.train_mae,
-                val_loss=val_loss,
-                val_mae=val_mae,
-            )
-        )
+        history.append(replace(train_metrics, val_loss=val_loss, val_mae=val_mae))
     return net, RunHistory(epochs=tuple(history))
+
+
+def fit_datasets(
+    specs, seed: int, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig
+) -> tuple[Network, Normalizer, RunHistory]:
+    """Fit init_network(specs, seed); both splits normalized by train_ds's stats."""
+    norm = fit_normalizer(train_ds)
+    x_train, x_val = (apply_normalizer(norm, ds) for ds in (train_ds, val_ds))
+    net = init_network(specs, seed)
+    net, history = fit(net, x_train, train_ds.soc, x_val, val_ds.soc, cfg)
+    return net, norm, history
 
 
 def _run_fold(
@@ -214,21 +216,12 @@ def _run_fold(
     seed: int,
 ) -> RunHistory:
     train_ds, val_ds = fold_datasets(pool, assignment, fold)
-    norm = fit_normalizer(train_ds)
-    x_tr = apply_normalizer(norm, train_ds)
-    y_tr = train_ds.soc
-    x_va = apply_normalizer(norm, val_ds)
-    y_va = val_ds.soc
-    fold_net = init_network(specs, shift_seed(seed, 1 + fold))
-    fold_cfg = TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        optimizer=cfg.optimizer,
-        reg=cfg.reg,
-        shuffle_seed=shift_seed(cfg.shuffle_seed, fold * _FOLD_SEED_STRIDE),
-        loss=cfg.loss,
+    fold_cfg = replace(
+        cfg, shuffle_seed=shift_seed(cfg.shuffle_seed, fold * _FOLD_SEED_STRIDE)
     )
-    _, history = fit(fold_net, x_tr, y_tr, x_va, y_va, fold_cfg)
+    _, _, history = fit_datasets(
+        specs, shift_seed(seed, 1 + fold), train_ds, val_ds, fold_cfg
+    )
     return history
 
 
@@ -301,6 +294,8 @@ def cross_validate(
     jobs=1 value in its last bit.
     """
     check_seed(seed)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     assignment = kfold_split(len(pool), k, seed)
     folds = range(k)
     if jobs > 1:
@@ -328,14 +323,7 @@ def cross_validate(
 
 
 def evaluate(net: Network, norm: Normalizer, test: Dataset) -> float:
-    """Inference-mode test MAE, unclamped; non-finite predictions raise.
-
-    That error reports the overflow, so numpy's own warnings about it
-    are silenced.
-    """
+    """Inference-mode test MAE of predict_finite's unclamped predictions."""
     if len(test) == 0:
         raise ConfigError("test set must be non-empty")
-    x = apply_normalizer(norm, test)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pred = predict(net, x)
-    return mae(require_finite_predictions(pred), test.soc)
+    return loss_mae(predict_finite(net, norm, test), test.soc)

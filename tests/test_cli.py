@@ -430,6 +430,58 @@ def test_overflow_reports_error_without_numpy_warnings(trained, tmp_path, comman
     assert "RuntimeWarning" not in proc.stderr
 
 
+# (subcommand, flag, value): each value is out of range for its flag.
+BAD_FLAG_VALUES = [
+    ("gen-data", "--duration", "nan"),
+    ("gen-data", "--duration", "inf"),
+    ("gen-data", "--dt", "nan"),
+    ("gen-data", "--dt", "inf"),
+    ("gen-data", "--capacity", "nan"),
+    ("gen-data", "--capacity", "inf"),
+    ("gen-data", "--peak", "nan"),
+    ("gen-data", "--peak", "inf"),
+    ("gen-data", "--r-internal", "nan"),
+    ("gen-data", "--ambient", "nan"),
+    ("gen-data", "--ambient", "-inf"),
+    ("train", "--lr", "nan"),
+    ("train", "--lr", "inf"),
+    ("train", "--epsilon", "nan"),
+    ("train", "--epsilon", "inf"),
+    ("train", "--l1", "nan"),
+    ("train", "--l2", "nan"),
+    ("train", "--l2", "inf"),
+    ("crossval", "--jobs", "0"),
+    ("crossval", "--jobs", "-3"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", BAD_FLAG_VALUES,
+    ids=[f"{c}{f}={v}" for c, f, v in BAD_FLAG_VALUES],
+)
+def test_bad_flag_value_is_exit_2(cycle_csv, tmp_path, command, flag, value):
+    # A separate interpreter, as from a shell, so a traceback or a numpy
+    # warning would reach stderr.
+    out = tmp_path / "out"
+    tiny = ["--data", str(cycle_csv), "--hidden", "1", "--units", "4", "--epochs", "1"]
+    argv = {
+        "gen-data": ["gen-data", "--out", str(out)],
+        "train": ["train", *tiny, "--model-out", str(out)],
+        "crossval": ["crossval", *tiny, "--k", "2", "--report-out", str(out)],
+    }[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(socdfn.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "socdfn.cli", *argv, f"{flag}={value}"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert re.search(r"^error: ", proc.stderr, re.MULTILINE)
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert not out.exists()
+
+
 class TestParser:
     def test_version_flag(self):
         code, stdout, _ = run_cli(["--version"])

@@ -251,6 +251,35 @@ class TestLoadModelErrors:
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["layers"][0].update(in_dim=3.9), "in_dim 3.9 is not an integer"),
+            (lambda d: d["layers"][0].update(out_dim="8"), "out_dim '8' is not an integer"),
+            (lambda d: d["layers"][2].update(out_dim=True), "out_dim True is not an integer"),
+            (lambda d: d["layers"][0].update(activation=["relu"]),
+             r"activation \['relu'\] is not a string"),
+            (lambda d: d["layers"][0].update(dropout_after=False),
+             "dropout_after False is not a number"),
+            (lambda d: d["layers"][0].update(dropout_after="0"),
+             "dropout_after '0' is not a number"),
+            (lambda d: d.update(meta=7), "'meta' is not a dict"),
+            (lambda d: d.update(meta=[]), "'meta' is not a dict"),
+        ],
+        ids=["float-dim", "string-dim", "bool-dim", "list-activation",
+             "bool-dropout", "string-dropout", "number-meta", "list-meta"],
+    )
+    def test_field_of_wrong_json_type(self, tmp_path, mutate, message):
+        # Each edit but the list activation loaded, coerced, before
+        # fields were type-checked.
+        path = self.write_doc(tmp_path, mutate)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_missing_meta_loads_as_empty(self, tmp_path):
+        path = self.write_doc(tmp_path, lambda d: d.pop("meta"))
+        assert load_model(path)[2] == {}
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_model(tmp_path / "nope.json")

@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 
 from socdfn.errors import ConfigError, ShapeError
-from socdfn.network import GradientSet, LayerSpec, Network, init_network, make_specs
+from socdfn.network import (
+    GradientSet,
+    LayerSpec,
+    Network,
+    RegConfig,
+    StepBuffers,
+    backward,
+    forward,
+    init_network,
+    make_specs,
+)
 from socdfn.optimize import (
     OptimizerConfig,
     adam_step,
@@ -378,3 +388,37 @@ class TestFlatLayout:
         sgd_step(net, GradientSet(dweights=w, dbiases=b), OptimizerConfig(kind="sgd"))
         np.testing.assert_array_equal(w[0], np.ones((3, 2)))
         assert net.weights[0][0, 0] == 1.0 - 1e-3
+
+
+class TestBufferedSteps:
+    @pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
+    @pytest.mark.parametrize(
+        "reg", [RegConfig(), RegConfig(l1=1e-3, l2=1e-2)], ids=["no-reg", "l1-l2"]
+    )
+    def test_one_buffer_set_matches_fresh_arrays(self, kind, reg):
+        rng = make_rng(12)
+        x = rng.normal(size=(32, 3))
+        y = rng.uniform(0.0, 100.0, size=32)
+        cfg = OptimizerConfig(kind=kind, learning_rate=1e-2)
+
+        def three_steps(buffers):
+            net = init_network(make_specs(2, 16, 0.5), seed=6)
+            state = init_state(net)
+            dropout_rng = make_rng(13)
+            objectives = []
+            for _ in range(3):
+                _, cache = forward(
+                    net, x, mode="train", dropout_rng=dropout_rng, buffers=buffers
+                )
+                grads, objective = backward(net, cache, y, reg, buffers=buffers)
+                objectives.append(objective)
+                net, state = apply_update(state, net, grads, cfg, buffers=buffers)
+            return net, state, objectives
+
+        net_a, state_a, obj_a = three_steps(StepBuffers())
+        net_b, state_b, obj_b = three_steps(None)
+        assert obj_a == obj_b
+        np.testing.assert_array_equal(net_a.flat, net_b.flat)
+        np.testing.assert_array_equal(state_a.m, state_b.m)
+        np.testing.assert_array_equal(state_a.v, state_b.v)
+        assert state_a.step == state_b.step == 3

@@ -1,0 +1,99 @@
+"""Print the sha256 of every artifact a fixed set of CLI runs writes.
+
+A refactor that is meant to keep behaviour shows it by byte-identical
+outputs before and after. Run this once against each source tree and
+diff the two listings:
+
+    python tools/artifact_digests.py OLD_CHECKOUT/src > old.txt
+    python tools/artifact_digests.py src > new.txt
+    diff old.txt new.txt
+
+For each seed it runs `gen-data`; `train` with both presets, sgd,
+rmsprop, --l1/--l2, dropout with --loss mae, and --no-shuffle;
+`crossval --k 4` with --jobs 1 and 2; `predict`; and `evaluate`. It
+prints one `sha256  name` line per output file and per stdout, sorted
+by name. Every command runs in the same temporary directory with bare
+relative file names, because the model's meta and the gen-data and
+predict stdout echo the paths they were given. A command that exits
+non-zero stops the script with its stderr. One run takes about half a
+minute on a 2-CPU machine.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (0, 1, 2)
+EPOCHS = 3
+CYCLE_SECONDS = 8000  # gen-data writes one row per second
+
+# name -> extra train flags. Every run also writes a model, a history and
+# its test split.
+TRAIN_RUNS = {
+    "2h": ["--preset", "paper-2h"],
+    "4h-dropout": ["--preset", "paper-4h-dropout"],
+    "sgd": ["--preset", "paper-2h", "--optimizer", "sgd"],
+    "rmsprop": ["--preset", "paper-2h", "--optimizer", "rmsprop"],
+    "l1l2": ["--preset", "paper-2h", "--l1", "1e-5", "--l2", "1e-4"],
+    "dropout-mae": ["--preset", "paper-4h-dropout", "--loss", "mae",
+                    "--l1", "1e-5", "--l2", "1e-4"],
+    "no-shuffle": ["--preset", "paper-2h", "--no-shuffle"],
+}
+
+
+def run(src: Path, workdir: Path, argv: list[str], stdout_name: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "socdfn.cli", *argv],
+        cwd=workdir, env=env, capture_output=True,
+    )
+    if proc.returncode != 0:
+        sys.exit(f"{' '.join(argv)} exited {proc.returncode}:\n"
+                 f"{proc.stderr.decode(errors='replace')}")
+    (workdir / stdout_name).write_bytes(proc.stdout)
+
+
+def run_seed(src: Path, workdir: Path, seed: int) -> None:
+    s = f"s{seed}"
+    run(src, workdir, ["gen-data", "--out", f"{s}-cycle.csv", "--seed", str(seed),
+                       "--duration", str(CYCLE_SECONDS)], f"{s}-gen-data.stdout")
+    common = ["--data", f"{s}-cycle.csv", "--epochs", str(EPOCHS), "--seed", str(seed)]
+    for name, flags in TRAIN_RUNS.items():
+        out = f"{s}-train-{name}"
+        run(src, workdir, ["train", *common, *flags, "--model-out", f"{out}.json",
+                           "--history-out", f"{out}-history.csv",
+                           "--save-test", f"{out}-test.csv"], f"{out}.stdout")
+    for jobs in (1, 2):
+        out = f"{s}-crossval-jobs{jobs}"
+        run(src, workdir, ["crossval", *common, "--k", "4", "--preset",
+                           "paper-4h-dropout", "--jobs", str(jobs),
+                           "--report-out", f"{out}.csv"], f"{out}.stdout")
+    model = f"{s}-train-2h.json"
+    run(src, workdir, ["predict", "--model", model, "--data", f"{s}-cycle.csv",
+                       "--out", f"{s}-predictions.csv"], f"{s}-predict.stdout")
+    run(src, workdir, ["evaluate", "--model", model, "--data", f"{s}-train-2h-test.csv"],
+        f"{s}-evaluate.stdout")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", type=Path, help="source root that holds the socdfn package")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "socdfn" / "cli.py").is_file():
+        parser.error(f"{src} holds no socdfn/cli.py")
+    with tempfile.TemporaryDirectory(prefix="socdfn-digests-") as tmp:
+        workdir = Path(tmp)
+        for seed in SEEDS:
+            run_seed(src, workdir, seed)
+        for path in sorted(workdir.iterdir()):
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
