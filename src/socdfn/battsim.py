@@ -57,6 +57,10 @@ class CellParams:
             )
         if not -math.inf < self.ambient_c < math.inf:
             raise ConfigError(f"ambient_c must be finite, got {self.ambient_c}")
+        if not 0.0 <= self.heat_coeff_k_per_w < math.inf:
+            raise ConfigError(
+                f"heat_coeff_k_per_w must be non-negative, got {self.heat_coeff_k_per_w}"
+            )
 
     def ocv(self, soc_pct: float) -> float:
         """Open-circuit voltage, linear in SOC."""

@@ -106,9 +106,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_arch(args) -> tuple[int, int, float]:
-    arch = {"hidden": 2, "units": 256, "dropout": 0.0}
-    if args.preset is not None:
-        arch.update(PRESETS[args.preset])
+    arch = dict(PRESETS[args.preset or "paper-2h"])
     for name in arch:
         if getattr(args, name) is not None:
             arch[name] = getattr(args, name)
@@ -193,6 +191,8 @@ def _load_and_split(args):
 
 
 def cmd_train(args) -> int:
+    if args.emit_gnuplot and not args.history_out:
+        raise ConfigError("--emit-gnuplot needs --history-out")
     hidden, units, dropout = _resolve_arch(args)
     train_ds, val_ds, test_ds = _load_and_split(args)
     specs = make_specs(hidden, units, dropout)
@@ -215,8 +215,6 @@ def cmd_train(args) -> int:
         write_history_csv(history, args.history_out)
         if args.emit_gnuplot:
             write_gnuplot_script(str(args.history_out), str(args.history_out) + ".gnuplot")
-    elif args.emit_gnuplot:
-        raise ConfigError("--emit-gnuplot needs --history-out")
     if args.model_out:
         save_model(net, norm, args.model_out, meta=_meta(args, hidden, units, dropout))
     final = history.final

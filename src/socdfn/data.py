@@ -114,23 +114,23 @@ def _parse_floats(fields: list[str], line: int) -> list[float]:
     return values
 
 
-def load_csv(path, name: str | None = None) -> Dataset:
+def load_csv(path) -> Dataset:
     """Read a full drive-cycle CSV; every row must carry an SOC label.
 
     Raises DataError with a 1-based line number on any malformed or
     out-of-range row, and OSError if the file cannot be read.
     """
-    return Dataset(*_read_columns(path, require_soc=True), name=name or str(path))
+    return Dataset(*_read_columns(path, require_soc=True), name=str(path))
 
 
-def load_features_csv(path, name: str | None = None) -> Dataset:
+def load_features_csv(path) -> Dataset:
     """Read a feature CSV for prediction.
 
     Accepts either the full five-column schema (the soc_pct column is
     carried through but not required to be meaningful) or the four-column
     feature schema, in which case soc is filled with zeros.
     """
-    return Dataset(*_read_columns(path, require_soc=False), name=name or str(path))
+    return Dataset(*_read_columns(path, require_soc=False), name=str(path))
 
 
 def _read_columns(path, require_soc: bool) -> np.ndarray:
@@ -183,13 +183,20 @@ def _read_columns(path, require_soc: bool) -> np.ndarray:
     return np.array(flat, dtype=np.float64).reshape(-1, len(COLUMNS)).T.copy()
 
 
+def write_table(path, header: str, row_fmt: str, columns) -> None:
+    """Write the header line, then row_fmt % row for each row of the columns.
+
+    Cells reach row_fmt as Python scalars, so %r prints repr(float).
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        rows = zip(*(np.asarray(c).tolist() for c in columns))
+        fh.writelines(row_fmt % row for row in rows)
+
+
 def write_csv(dataset: Dataset, path) -> None:
     """Write the five-column schema with fixed per-column precision."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.writelines(
-            _ROW_FMT % row for row in zip(*(c.tolist() for c in dataset.columns))
-        )
+    write_table(path, CSV_HEADER, _ROW_FMT, dataset.columns)
 
 
 def write_predictions_csv(times: np.ndarray, soc_pred: np.ndarray, path) -> None:
@@ -197,10 +204,7 @@ def write_predictions_csv(times: np.ndarray, soc_pred: np.ndarray, path) -> None
         raise ShapeError(
             f"times ({len(times)},) and predictions ({len(soc_pred)},) differ"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PREDICTION_HEADER + "\n")
-        for t, s in zip(times, soc_pred):
-            fh.write(_PREDICTION_FMT % (float(t), float(s)))
+    write_table(path, PREDICTION_HEADER, _PREDICTION_FMT, (times, soc_pred))
 
 
 def feature_matrix(dataset: Dataset) -> np.ndarray:

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .data import Normalizer
+from .data import Normalizer, write_table
 from .errors import ConfigError, ModelFormatError, ShapeError
 from .network import LayerSpec, Network
 from .train import CVReport, RunHistory
@@ -166,41 +166,21 @@ def load_model(path) -> tuple[Network, Normalizer, dict]:
     return net, norm, meta
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def write_history_csv(history: RunHistory, path) -> None:
     """Learning-curve CSV, one row per epoch, epochs numbered from 1."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(HISTORY_HEADER + "\n")
-        for i, e in enumerate(history.epochs, start=1):
-            fh.write(
-                ",".join(
-                    (
-                        str(i),
-                        _fmt(e.train_loss),
-                        _fmt(e.train_mae),
-                        _fmt(e.val_loss),
-                        _fmt(e.val_mae),
-                    )
-                )
-                + "\n"
-            )
+    metrics = np.array(
+        [(e.train_loss, e.train_mae, e.val_loss, e.val_mae) for e in history.epochs]
+    )
+    columns = (range(1, len(history) + 1), *metrics.T)
+    write_table(path, HISTORY_HEADER, "%d,%r,%r,%r,%r\n", columns)
 
 
 def write_cv_csv(report: CVReport, path) -> None:
     """Per-fold CSV with trailing mean/std summary rows over both columns."""
-    finals = np.array(report.per_fold_final_val_mae)
-    bests = np.array(report.per_fold_best_val_mae)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CV_HEADER + "\n")
-        for fold in range(report.k):
-            fh.write(
-                f"{fold},{_fmt(finals[fold])},{_fmt(bests[fold])}\n"
-            )
-        fh.write(f"mean,{_fmt(finals.mean())},{_fmt(bests.mean())}\n")
-        fh.write(f"std,{_fmt(finals.std())},{_fmt(bests.std())}\n")
+    scores = (report.per_fold_final_val_mae, report.per_fold_best_val_mae)
+    columns = [np.append(c, (np.mean(c), np.std(c))) for c in map(np.array, scores)]
+    labels = [*map(str, range(report.k)), "mean", "std"]
+    write_table(path, CV_HEADER, "%s,%r,%r\n", (labels, *columns))
 
 
 def write_gnuplot_script(history_csv_path: str, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Normalizer, feature_matrix, normalize_features
+from .data import Dataset, Normalizer, apply_normalizer
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .rng import make_rng
 
@@ -483,7 +483,7 @@ def predict_finite(net: Network, norm: Normalizer, dataset: Dataset) -> np.ndarr
     """
     if norm is None:
         raise ContractError("prediction needs a fitted normalizer")
-    x = normalize_features(norm, feature_matrix(dataset))
+    x = apply_normalizer(norm, dataset)
     with np.errstate(over="ignore", invalid="ignore"):
         pred = predict(net, x)
     bad = np.count_nonzero(~np.isfinite(pred))

@@ -121,21 +121,18 @@ def train_epoch(
     y: np.ndarray,
     cfg: TrainConfig,
     epoch: int = 0,
-    dropout_rng: np.random.Generator | None = None,
 ) -> tuple[Network, OptimizerState, EpochMetrics]:
     """One pass over all batches; returns size-weighted train metrics.
 
     Batch order reshuffles per epoch from shuffle_seed + epoch, and the
-    dropout stream is keyed on (shuffle_seed, "dropout", epoch) unless an
-    explicit generator is supplied. Every batch's forward, backward and
-    update reuse the arrays of one StepBuffers, which is freed when the
-    epoch ends, so it does not add to the memory of fit's validation
-    pass. Validation fields of the returned metrics are NaN; fit() fills
-    them in.
+    dropout stream is keyed on (shuffle_seed, "dropout", epoch). Every
+    batch's forward, backward and update reuse the arrays of one
+    StepBuffers, which is freed when the epoch ends, so it does not add
+    to the memory of fit's validation pass. Validation fields of the
+    returned metrics are NaN; fit() fills them in.
     """
     buffers = StepBuffers()
-    if dropout_rng is None:
-        dropout_rng = substream(cfg.shuffle_seed, "dropout", epoch)
+    dropout_rng = substream(cfg.shuffle_seed, "dropout", epoch)
     epoch_seed = shift_seed(cfg.shuffle_seed, epoch)
     loss_sum = 0.0
     mae_sum = 0.0

@@ -53,6 +53,11 @@ class TestCellParams:
         with pytest.raises(ConfigError):
             CellParams(thermal_tau_s=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_heat_coeff(self, value):
+        with pytest.raises(ConfigError, match="heat_coeff_k_per_w"):
+            CellParams(heat_coeff_k_per_w=value)
+
 
 class TestCycleConfig:
     def test_bad_dt(self):

@@ -198,6 +198,14 @@ class TestTrain:
         assert code == 2
         assert "--history-out" in err
 
+    def test_gnuplot_without_history_fails_before_any_write(self, cycle_csv, tmp_path):
+        saved = tmp_path / "t.csv"
+        code, _, err = run_cli(fast_train_args(
+            cycle_csv, extra=["--save-test", str(saved), "--emit-gnuplot"]
+        ))
+        assert code == 2, err
+        assert not saved.exists()
+
     def test_gnuplot_written_next_to_history(self, cycle_csv, tmp_path):
         history = tmp_path / "h.csv"
         code, _, _ = run_cli(fast_train_args(
@@ -480,6 +488,65 @@ def test_bad_flag_value_is_exit_2(cycle_csv, tmp_path, command, flag, value):
     assert "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
     assert not out.exists()
+
+
+# (subcommand, flag, case): the case's path replaces that flag's value.
+# A missing file or a directory as input, and an output inside a missing
+# directory, are I/O errors (exit 3); a bad CSV header is exit 4.
+BAD_PATHS = [
+    ("gen-data", "--out", "in-missing-dir"),
+    *(("train", "--data", case) for case in ("missing", "directory", "bad-header")),
+    *(("train", flag, "in-missing-dir") for flag in (
+        "--model-out", "--history-out", "--save-train", "--save-val", "--save-test"
+    )),
+    *(("crossval", "--data", case) for case in ("missing", "directory", "bad-header")),
+    ("crossval", "--report-out", "in-missing-dir"),
+    *(("evaluate", "--model", case) for case in ("missing", "directory")),
+    *(("evaluate", "--data", case) for case in ("missing", "directory", "bad-header")),
+    *(("predict", "--model", case) for case in ("missing", "directory")),
+    *(("predict", "--data", case) for case in ("missing", "directory", "bad-header")),
+    ("predict", "--out", "in-missing-dir"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, case", BAD_PATHS,
+    ids=[f"{c}{f}={case}" for c, f, case in BAD_PATHS],
+)
+def test_bad_path_is_error_without_output(
+    trained, cycle_csv, tmp_path, command, flag, case
+):
+    # A separate interpreter, as from a shell, so a traceback would reach
+    # stderr. It runs in tmp_path, where every default output would land.
+    model, _ = trained
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "bad.csv").write_text("time,v,i,temp,soc\n0,4.2,0,25,50\n")
+    before = sorted(tmp_path.rglob("*"))
+    tiny = {"--hidden": "1", "--units": "4", "--epochs": "1"}
+    args = {
+        "gen-data": {"--out": "cycle.csv", "--duration": "300"},
+        "train": {"--data": str(cycle_csv), **tiny},
+        "crossval": {"--data": str(cycle_csv), "--k": "2", **tiny},
+        "evaluate": {"--model": str(model), "--data": str(cycle_csv)},
+        "predict": {"--model": str(model), "--data": str(cycle_csv), "--out": "p.csv"},
+    }[command]
+    args[flag] = {
+        "missing": "missing.csv",
+        "directory": "a-dir",
+        "in-missing-dir": str(Path("no-such-dir", "out.csv")),
+        "bad-header": "bad.csv",
+    }[case]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(socdfn.__file__).parents[1])
+    argv = [command, *(a for pair in args.items() for a in pair)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "socdfn.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == (4 if case == "bad-header" else 3), proc.stderr
+    assert re.search(r"^error: ", proc.stderr, re.MULTILINE)
+    assert "Traceback" not in proc.stderr
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestParser:

@@ -8,8 +8,9 @@ diff the two listings:
     python tools/artifact_digests.py src > new.txt
     diff old.txt new.txt
 
-For each seed it runs `gen-data`; `train` with both presets, sgd,
-rmsprop, --l1/--l2, dropout with --loss mae, and --no-shuffle;
+For each seed it runs `gen-data`; `train` with both presets (paper-2h
+also with --emit-gnuplot), sgd, rmsprop, --l1/--l2, dropout with
+--loss mae, and --no-shuffle;
 `crossval --k 4` with --jobs 1 and 2; `predict`; and `evaluate`. It
 prints one `sha256  name` line per output file and per stdout, sorted
 by name. Every command runs in the same temporary directory with bare
@@ -34,7 +35,7 @@ CYCLE_SECONDS = 8000  # gen-data writes one row per second
 # name -> extra train flags. Every run also writes a model, a history and
 # its test split.
 TRAIN_RUNS = {
-    "2h": ["--preset", "paper-2h"],
+    "2h": ["--preset", "paper-2h", "--emit-gnuplot"],
     "4h-dropout": ["--preset", "paper-4h-dropout"],
     "sgd": ["--preset", "paper-2h", "--optimizer", "sgd"],
     "rmsprop": ["--preset", "paper-2h", "--optimizer", "rmsprop"],
