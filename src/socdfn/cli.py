@@ -14,9 +14,12 @@ or prediction went non-finite).
 """
 
 import argparse
+import contextlib
+import errno
 import logging
 import os
 import sys
+from functools import partial
 
 from . import __version__
 from .battsim import CellParams, CycleConfig, synth_dataset
@@ -36,7 +39,7 @@ from .modelio import (
     write_gnuplot_script,
     write_history_csv,
 )
-from .network import make_specs, predict_soc, RegConfig
+from .network import LOSS_KINDS, make_specs, predict_soc, RegConfig
 from .optimize import OPTIMIZER_KINDS, OptimizerConfig
 from .rng import BIT_GENERATOR, shift_seed
 from .train import TrainConfig, cross_validate, evaluate, fit_datasets
@@ -44,10 +47,6 @@ from .train import TrainConfig, cross_validate, evaluate, fit_datasets
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_IO = 3
-EXIT_SCHEMA = 4
-EXIT_NUMERIC = 5
 
 PRESETS = {
     # 2 hidden layers of 256, no regularization.
@@ -55,6 +54,15 @@ PRESETS = {
     # 4 hidden layers counting dropout: dense 256 + dropout 0.5, twice.
     "paper-4h-dropout": {"hidden": 4, "units": 256, "dropout": 0.5},
 }
+
+# Exit code of each error class (see _EPILOG); the first match wins.
+_EXIT_CODES = ((ConfigError, 2), (NumericError, 5), (SocdfnError, 4), (OSError, 3))
+
+# Argparse dests of the training flags a saved model's meta echoes.
+_TRAIN_META = (
+    "epochs", "batch_size", "optimizer", "lr", "beta1", "beta2", "rho", "epsilon", "l1",
+    "l2", "loss",
+)
 
 _EPILOG = """exit codes:
   0  success
@@ -84,17 +92,18 @@ def _add_arch_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
+    opt, reg = OptimizerConfig(), RegConfig()
     p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--optimizer", choices=OPTIMIZER_KINDS, default="adam")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--rho", type=float, default=0.9)
-    p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--l1", type=float, default=0.0)
-    p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--loss", choices=("mse", "mae"), default="mse")
+    p.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int, default=128)
+    p.add_argument("--optimizer", choices=OPTIMIZER_KINDS, default=opt.kind)
+    p.add_argument("--lr", type=float, default=opt.learning_rate)
+    p.add_argument("--beta1", type=float, default=opt.beta1)
+    p.add_argument("--beta2", type=float, default=opt.beta2)
+    p.add_argument("--rho", type=float, default=opt.rho)
+    p.add_argument("--epsilon", type=float, default=opt.epsilon)
+    p.add_argument("--l1", type=float, default=reg.l1)
+    p.add_argument("--l2", type=float, default=reg.l2)
+    p.add_argument("--loss", choices=LOSS_KINDS, default=TrainConfig.loss)
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--val-frac", type=float, default=0.1)
     p.add_argument(
@@ -105,18 +114,18 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _resolve_arch(args) -> tuple[int, int, float]:
+def _resolve_arch(args) -> dict:
     arch = dict(PRESETS[args.preset or "paper-2h"])
     for name in arch:
         if getattr(args, name) is not None:
             arch[name] = getattr(args, name)
-    return arch["hidden"], arch["units"], arch["dropout"]
+    return arch
 
 
 def _train_config(args) -> TrainConfig:
     return TrainConfig(
         epochs=args.epochs,
-        batch_size=args.batch,
+        batch_size=args.batch_size,
         optimizer=OptimizerConfig(
             kind=args.optimizer,
             learning_rate=args.lr,
@@ -131,32 +140,20 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _meta(args, hidden: int, units: int, dropout: float) -> dict:
+def _meta(args, arch: dict) -> dict:
     return {
         "tool": "socdfn",
         "tool_version": __version__,
         "bit_generator": BIT_GENERATOR,
         "seed": args.seed,
         "data": str(args.data),
-        "arch": {"hidden": hidden, "units": units, "dropout": dropout},
+        "arch": arch,
         "split": {
             "train_frac": args.train_frac,
             "val_frac": args.val_frac,
             "shuffle": not args.no_shuffle,
         },
-        "train": {
-            "epochs": args.epochs,
-            "batch_size": args.batch,
-            "optimizer": args.optimizer,
-            "lr": args.lr,
-            "beta1": args.beta1,
-            "beta2": args.beta2,
-            "rho": args.rho,
-            "epsilon": args.epsilon,
-            "l1": args.l1,
-            "l2": args.l2,
-            "loss": args.loss,
-        },
+        "train": {name: getattr(args, name) for name in _TRAIN_META},
     }
 
 
@@ -179,24 +176,52 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _load_and_split(args):
-    dataset = load_csv(args.data)
-    return split_holdout(
-        dataset,
+def _setup(args):
+    """(arch, specs, cfg, splits) of train and crossval; flags are checked first."""
+    arch = _resolve_arch(args)
+    specs = make_specs(**arch)
+    cfg = _train_config(args)
+    splits = split_holdout(
+        load_csv(args.data),
         args.train_frac,
         args.val_frac,
         seed=args.seed,
         shuffle=not args.no_shuffle,
     )
+    return arch, specs, cfg, splits
+
+
+def _write_all(outputs) -> None:
+    """Call write(tmp) for each (path, write) pair, then move each tmp to path.
+
+    Pairs without a path are skipped. Each tmp is a sibling of its path,
+    and nothing is moved until every write has succeeded, so a failed
+    write leaves no new file and keeps every existing one. An error
+    names the path, not its tmp.
+    """
+    outputs = [(path, write) for path, write in outputs if path]
+    temps = []
+    try:
+        for path, write in outputs:
+            temps.append(f"{path}.{os.getpid()}-{len(temps)}.tmp")
+            try:
+                if os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                write(temps[-1])
+            except OSError as e:
+                raise OSError(e.errno, e.strerror, path) from None
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 def cmd_train(args) -> int:
     if args.emit_gnuplot and not args.history_out:
         raise ConfigError("--emit-gnuplot needs --history-out")
-    hidden, units, dropout = _resolve_arch(args)
-    train_ds, val_ds, test_ds = _load_and_split(args)
-    specs = make_specs(hidden, units, dropout)
-    cfg = _train_config(args)
+    arch, specs, cfg, (train_ds, val_ds, test_ds) = _setup(args)
     logger.info(
         "training %d epochs on %d rows (val %d, test %d)",
         cfg.epochs, len(train_ds), len(val_ds), len(test_ds),
@@ -205,18 +230,15 @@ def cmd_train(args) -> int:
         specs, shift_seed(args.seed, 1), train_ds, val_ds, cfg
     )
     test_mae = evaluate(net, norm, test_ds)
-    for name, split in (
-        ("save_train", train_ds), ("save_val", val_ds), ("save_test", test_ds)
-    ):
-        path = getattr(args, name)
-        if path:
-            write_csv(split, path)
-    if args.history_out:
-        write_history_csv(history, args.history_out)
-        if args.emit_gnuplot:
-            write_gnuplot_script(str(args.history_out), str(args.history_out) + ".gnuplot")
-    if args.model_out:
-        save_model(net, norm, args.model_out, meta=_meta(args, hidden, units, dropout))
+    gnuplot_out = args.emit_gnuplot and f"{args.history_out}.gnuplot"
+    _write_all([
+        (args.save_train, partial(write_csv, train_ds)),
+        (args.save_val, partial(write_csv, val_ds)),
+        (args.save_test, partial(write_csv, test_ds)),
+        (args.history_out, partial(write_history_csv, history)),
+        (gnuplot_out, partial(write_gnuplot_script, args.history_out)),
+        (args.model_out, partial(save_model, net, norm, meta=_meta(args, arch))),
+    ])
     final = history.final
     print(
         f"epochs={cfg.epochs} train_mae={final.train_mae:.6f} "
@@ -226,12 +248,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    hidden, units, dropout = _resolve_arch(args)
-    train_ds, val_ds, _ = _load_and_split(args)
+    _, specs, cfg, (train_ds, val_ds, _) = _setup(args)
     pool = concat_datasets(train_ds, val_ds, name="cv-pool")
-    specs = make_specs(hidden, units, dropout)
-    cfg = _train_config(args)
-    jobs = args.jobs if args.jobs is not None else min(args.k, os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     report = cross_validate(
         pool, specs, args.k, cfg, seed=shift_seed(args.seed, 3), jobs=jobs
     )
@@ -279,16 +298,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="synthesize a labeled drive-cycle CSV")
+    cell, cycle = CellParams(), CycleConfig()
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=20000.0, help="cycle seconds")
-    p.add_argument("--dt", type=float, default=1.0, help="step seconds")
-    p.add_argument("--peak", type=float, default=1.0, help="peak discharge amperes")
-    p.add_argument("--regen-fraction", type=float, default=0.1)
+    p.add_argument("--seed", type=int, default=cycle.seed)
+    p.add_argument("--duration", type=float, default=cycle.duration_s, help="cycle seconds")
+    p.add_argument("--dt", type=float, default=cycle.dt_s, help="step seconds")
+    p.add_argument(
+        "--peak", type=float, default=cycle.peak_discharge_a, help="peak discharge amperes"
+    )
+    p.add_argument("--regen-fraction", type=float, default=cycle.regen_fraction)
     p.add_argument("--soc0", type=float, default=100.0, help="starting SOC percent")
-    p.add_argument("--capacity", type=float, default=2.9, help="cell ampere-hours")
-    p.add_argument("--r-internal", type=float, default=0.05, help="ohms")
-    p.add_argument("--ambient", type=float, default=25.0, help="degrees Celsius")
+    p.add_argument(
+        "--capacity", type=float, default=cell.capacity_ah, help="cell ampere-hours"
+    )
+    p.add_argument("--r-internal", type=float, default=cell.r_internal_ohm, help="ohms")
+    p.add_argument("--ambient", type=float, default=cell.ambient_c, help="degrees Celsius")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="fit one network on a holdout split")
@@ -339,18 +363,9 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (SocdfnError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except SocdfnError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in _EXIT_CODES if isinstance(e, cls))
 
 
 if __name__ == "__main__":

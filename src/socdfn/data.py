@@ -24,6 +24,9 @@ FEATURE_NAMES = ("voltage_v", "current_a", "temp_c")
 # Dataset column attributes, in CSV column order.
 COLUMNS = ("t", "voltage", "current", "temperature", "soc")
 _CSV_FIELDS = tuple(CSV_HEADER.split(","))
+# Header line -> fields per data row, for each loader's accepted headers.
+_LABELED_HEADERS = {CSV_HEADER: 5}
+_FEATURE_HEADERS = {CSV_HEADER: 5, FEATURES_HEADER: 4}
 
 # Row print formats for written CSVs. Voltage and current are rounded to
 # sensor resolution (10 mV, 1 mA); temperature to 0.01 C. SOC labels and
@@ -38,8 +41,9 @@ class Dataset:
     """One drive cycle as five equal-length float64 columns.
 
     Each column is stored as a read-only, C-contiguous view; current is
-    negative on discharge. Columns are the only row storage: subsets and
-    folds index them, and feature_matrix stacks them for the network.
+    negative on discharge, and every value must be finite. Columns are
+    the only row storage: subsets and folds index them, and
+    feature_matrix stacks them for the network.
     """
 
     t: np.ndarray
@@ -60,6 +64,9 @@ class Dataset:
                 "dataset columns must be 1-D and of equal length, got shapes "
                 + ", ".join(str(c.shape) for c in self.columns)
             )
+        for field_name, c in zip(_CSV_FIELDS, self.columns):
+            if not np.isfinite(c).all():
+                raise DataError(f"non-finite value in column {field_name}")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -135,25 +142,13 @@ def load_features_csv(path) -> Dataset:
 
 def _read_columns(path, require_soc: bool) -> np.ndarray:
     """(5, n) array of the file's columns; checks each line in file order."""
+    headers = _LABELED_HEADERS if require_soc else _FEATURE_HEADERS
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n")
-        if require_soc:
-            if header != CSV_HEADER:
-                raise DataError(
-                    f"bad header {header!r}, expected {CSV_HEADER!r}", line=1
-                )
-            n_fields = 5
-        else:
-            if header == CSV_HEADER:
-                n_fields = 5
-            elif header == FEATURES_HEADER:
-                n_fields = 4
-            else:
-                raise DataError(
-                    f"bad header {header!r}, expected {CSV_HEADER!r} "
-                    f"or {FEATURES_HEADER!r}",
-                    line=1,
-                )
+        if header not in headers:
+            expected = " or ".join(map(repr, headers))
+            raise DataError(f"bad header {header!r}, expected {expected}", line=1)
+        n_fields = headers[header]
         flat = []
         prev_t = -math.inf
         for line_no, raw in enumerate(fh, start=2):

@@ -179,17 +179,23 @@ def fit(
     y_val: np.ndarray,
     cfg: TrainConfig,
 ) -> tuple[Network, RunHistory]:
-    """Train for cfg.epochs epochs, recording one EpochMetrics per epoch."""
+    """Train for cfg.epochs epochs, recording one EpochMetrics per epoch.
+
+    A diverging run raises NumericError, so numpy's overflow and invalid
+    value warnings are silenced here rather than by callers: an errstate
+    does not reach cross_validate's fold threads.
+    """
     if y_val.shape[0] < 1:
         raise ConfigError("validation set must be non-empty")
     opt_state = init_state(net)
     history = []
-    for epoch in range(cfg.epochs):
-        net, opt_state, train_metrics = train_epoch(
-            net, opt_state, x_train, y_train, cfg, epoch=epoch
-        )
-        val_loss, val_mae = _validation_metrics(net, x_val, y_val, cfg)
-        history.append(replace(train_metrics, val_loss=val_loss, val_mae=val_mae))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            net, opt_state, train_metrics = train_epoch(
+                net, opt_state, x_train, y_train, cfg, epoch=epoch
+            )
+            val_loss, val_mae = _validation_metrics(net, x_val, y_val, cfg)
+            history.append(replace(train_metrics, val_loss=val_loss, val_mae=val_mae))
     return net, RunHistory(epochs=tuple(history))
 
 
@@ -255,7 +261,8 @@ def _blas_threads_per_worker(workers: int):
     """Share the cores among `workers` threads that each call BLAS.
 
     Without this every fold thread's matmuls start OpenBLAS's full
-    thread team, and the teams fight over the same cores. The count is
+    thread team, and the teams fight over the same cores. The cap never
+    raises the count above the process's own setting. The count is
     process-wide, so it is put back when the block exits, normally or
     by an exception.
     """
@@ -265,7 +272,7 @@ def _blas_threads_per_worker(workers: int):
         return
     set_threads, get_threads = fns
     previous = get_threads()
-    set_threads(max(1, (os.cpu_count() or 1) // workers))
+    set_threads(max(1, min(previous, (os.cpu_count() or 1) // workers)))
     try:
         yield
     finally:
@@ -285,10 +292,10 @@ def cross_validate(
     The fold score is the final-epoch validation MAE; the best epoch's
     value is reported alongside. Folds are independent, so jobs > 1 runs
     them in a thread pool. While the pool runs, OpenBLAS gets
-    cpu_count // workers threads per worker. Its threaded matrix-vector
-    product can round the last bit of a prediction differently at
-    another thread count, so a score can, rarely, differ from the
-    jobs=1 value in its last bit.
+    cpu_count // workers threads per worker, at most its own setting.
+    Its threaded matrix-vector product can round the last bit of a
+    prediction differently at another thread count, so a score can,
+    rarely, differ from the jobs=1 value in its last bit.
     """
     check_seed(seed)
     if jobs < 1:

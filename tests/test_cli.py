@@ -216,6 +216,36 @@ class TestTrain:
         assert script.exists()
         assert str(history) in script.read_text()
 
+    def test_failed_output_leaves_no_file(self, cycle_csv, tmp_path):
+        out = ["--history-out", str(tmp_path / "h.csv"), "--emit-gnuplot",
+               "--save-train", str(tmp_path / "s.csv"),
+               "--model-out", str(tmp_path / "missing" / "m.json")]
+        code, _, err = run_cli(fast_train_args(cycle_csv, extra=out))
+        assert code == 3
+        assert err == f"error: [Errno 2] No such file or directory: {out[-1]!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_output_keeps_existing_file(self, cycle_csv, tmp_path):
+        history = tmp_path / "h.csv"
+        history.write_bytes(b"kept\n")
+        code, _, _ = run_cli(fast_train_args(cycle_csv, extra=[
+            "--history-out", str(history),
+            "--model-out", str(tmp_path / "missing" / "m.json"),
+        ]))
+        assert code == 3
+        assert history.read_bytes() == b"kept\n"
+        assert list(tmp_path.iterdir()) == [history]
+
+    def test_directory_as_output_leaves_no_file(self, cycle_csv, tmp_path):
+        (tmp_path / "a-dir").mkdir()
+        out = ["--history-out", str(tmp_path / "h.csv"),
+               "--model-out", str(tmp_path / "a-dir")]
+        code, _, err = run_cli(fast_train_args(cycle_csv, extra=out))
+        assert code == 3
+        assert err == f"error: [Errno 21] Is a directory: {out[-1]!r}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "a-dir"]
+        assert list((tmp_path / "a-dir").iterdir()) == []
+
     def test_odd_hidden_with_dropout_is_exit_2(self, cycle_csv):
         code, _, err = run_cli([
             "train", "--data", str(cycle_csv),
@@ -438,6 +468,25 @@ def test_overflow_reports_error_without_numpy_warnings(trained, tmp_path, comman
     assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["train", "crossval-jobs1", "crossval-jobs2"])
+def test_divergence_reports_error_without_numpy_warnings(cycle_csv, command):
+    # A separate interpreter with Python's default warning filters, as
+    # from a shell; crossval --jobs 2 diverges inside its fold threads.
+    argv = fast_train_args(cycle_csv, extra=["--optimizer", "sgd", "--lr", "1e12"])
+    if command != "train":
+        argv[0] = "crossval"
+        argv += ["--k", "2", "--jobs", command[-1]]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(socdfn.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "socdfn.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert re.search(r"^error: .*diverged", proc.stderr, re.MULTILINE)
+    assert "RuntimeWarning" not in proc.stderr
+
+
 # (subcommand, flag, value): each value is out of range for its flag.
 BAD_FLAG_VALUES = [
     ("gen-data", "--duration", "nan"),
@@ -547,6 +596,18 @@ def test_bad_path_is_error_without_output(
     assert re.search(r"^error: ", proc.stderr, re.MULTILINE)
     assert "Traceback" not in proc.stderr
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "missing.csv", "--lr", "nan"],
+    ["crossval", "--data", "missing.csv", "--k", "4", "--l2", "inf"],
+    ["train", "--data", "missing.csv", "--hidden", "3", "--dropout", "0.5"],
+])
+def test_flags_are_checked_before_data_is_read(tmp_path, argv):
+    argv[2] = str(tmp_path / argv[2])
+    code, _, err = run_cli(argv)
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 class TestParser:

@@ -195,6 +195,18 @@ class TestLoadFeaturesCsv:
             load_features_csv(path)
 
 
+@pytest.mark.parametrize("loader, expected", [
+    (load_csv, repr(CSV_HEADER)),
+    (load_features_csv, f"{CSV_HEADER!r} or {FEATURES_HEADER!r}"),
+])
+def test_bad_header_names_every_accepted_header(tmp_path, loader, expected):
+    path = tmp_path / "hdr.csv"
+    write_lines(path, ["a,b,c,d", "0,1,2,3"])
+    with pytest.raises(DataError) as info:
+        loader(path)
+    assert str(info.value) == f"line 1: bad header 'a,b,c,d', expected {expected}"
+
+
 @pytest.mark.parametrize("loader, header, bad_row, message", [
     (load_csv, CSV_HEADER, "1.000,4.19,-0.480,25.02,100.5",
      r"^line 3: soc_pct 100\.5 outside \[0, 100\]$"),
@@ -279,6 +291,17 @@ class TestMatrices:
     def test_unequal_columns_rejected(self):
         with pytest.raises(ShapeError, match="equal length"):
             Dataset([0.0, 1.0], [4.0], [0.0], [25.0], [50.0])
+
+    @pytest.mark.parametrize("column, value, field", [
+        ("voltage", math.nan, "voltage_v"),
+        ("current", math.inf, "current_a"),
+    ])
+    def test_non_finite_column_rejected(self, column, value, field):
+        columns = {c: np.array([0.0, 1.0]) + 4.0 for c in
+                   ("t", "voltage", "current", "temperature", "soc")}
+        columns[column][1] = value
+        with pytest.raises(DataError, match=f"^non-finite value in column {field}$"):
+            Dataset(**columns)
 
 
 class TestNormalizer:

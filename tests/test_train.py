@@ -429,6 +429,22 @@ class TestBlasThreadsPerWorker:
         assert seen == [max(1, os.cpu_count() // 2)] * 2
         assert get_threads() == before
 
+    def test_cap_never_raises_the_process_setting(self, monkeypatch):
+        set_threads, get_threads = _OPENBLAS
+        seen = self.record_threads_in_fit(monkeypatch)
+        before = get_threads()
+        monkeypatch.setattr(train.os, "cpu_count", lambda: 8)
+        set_threads(1)
+        try:
+            pool = affine_dataset(80, seed=21)
+            specs = make_specs(hidden=1, units=8, dropout=0.0)
+            cross_validate(pool, specs, 4, small_cfg(epochs=1, batch_size=16),
+                           seed=15, jobs=2)
+            assert get_threads() == 1
+        finally:
+            set_threads(before)
+        assert seen == [1] * 4
+
 
 class TestEvaluate:
     def test_constant_predictor_gives_mean_deviation(self):

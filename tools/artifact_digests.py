@@ -10,13 +10,14 @@ diff the two listings:
 
 For each seed it runs `gen-data`; `train` with both presets (paper-2h
 also with --emit-gnuplot), sgd, rmsprop, --l1/--l2, dropout with
---loss mae, and --no-shuffle;
-`crossval --k 4` with --jobs 1 and 2; `predict`; and `evaluate`. It
-prints one `sha256  name` line per output file and per stdout, sorted
-by name. Every command runs in the same temporary directory with bare
-relative file names, because the model's meta and the gen-data and
-predict stdout echo the paths they were given. A command that exits
-non-zero stops the script with its stderr. One run takes about half a
+--loss mae, and --no-shuffle; `crossval --k 4` with --jobs 1 and 2;
+`predict` on the labeled cycle and on a four-column feature CSV made by
+dropping its soc_pct column; and `evaluate`. It prints one
+`sha256  name` line per output file and per stdout, sorted by name.
+Every command runs in the same temporary directory with bare relative
+file names, because the model's meta and the gen-data and predict
+stdout echo the paths they were given. A command that exits non-zero
+stops the script with its stderr. One run takes about half a
 minute on a 2-CPU machine.
 """
 
@@ -76,6 +77,12 @@ def run_seed(src: Path, workdir: Path, seed: int) -> None:
     model = f"{s}-train-2h.json"
     run(src, workdir, ["predict", "--model", model, "--data", f"{s}-cycle.csv",
                        "--out", f"{s}-predictions.csv"], f"{s}-predict.stdout")
+    labeled = (workdir / f"{s}-cycle.csv").read_text(encoding="utf-8").splitlines()
+    (workdir / f"{s}-features.csv").write_text(
+        "".join(line.rsplit(",", 1)[0] + "\n" for line in labeled), encoding="utf-8")
+    run(src, workdir, ["predict", "--model", model, "--data", f"{s}-features.csv",
+                       "--out", f"{s}-predictions-features.csv"],
+        f"{s}-predict-features.stdout")
     run(src, workdir, ["evaluate", "--model", model, "--data", f"{s}-train-2h-test.csv"],
         f"{s}-evaluate.stdout")
 
