@@ -117,12 +117,11 @@ def generate_drive_cycle(cfg: CycleConfig) -> np.ndarray:
 
     # Discharge pulses: acceleration-like bursts on top of the backbone.
     n_pulses = n // 150
-    if n_pulses > 0:
-        starts = rng.integers(0, n, size=n_pulses)
-        widths = rng.integers(5, 26, size=n_pulses)
-        depths = peak * rng.uniform(0.10, 0.40, size=n_pulses)
-        for s, w, d in zip(starts, widths, depths):
-            current[s : s + w] -= d
+    starts = rng.integers(0, n, size=n_pulses)
+    widths = rng.integers(5, 26, size=n_pulses)
+    depths = peak * rng.uniform(0.10, 0.40, size=n_pulses)
+    for s, w, d in zip(starts, widths, depths):
+        current[s : s + w] -= d
 
     # Regen segments: braking recharges the cell for short stretches.
     if cfg.regen_fraction > 0.0:

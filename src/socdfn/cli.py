@@ -18,12 +18,15 @@ import contextlib
 import errno
 import logging
 import os
+import stat
 import sys
 from functools import partial
 
 from . import __version__
 from .battsim import CellParams, CycleConfig, synth_dataset
 from .data import (
+    check_fold_count,
+    check_split_fractions,
     concat_datasets,
     load_csv,
     load_features_csv,
@@ -157,7 +160,7 @@ def _meta(args, arch: dict) -> dict:
     }
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args) -> None:
     cell = CellParams(
         capacity_ah=args.capacity,
         r_internal_ohm=args.r_internal,
@@ -173,7 +176,6 @@ def cmd_gen_data(args) -> int:
     dataset = synth_dataset(cell, cycle, soc0_pct=args.soc0)
     write_csv(dataset, args.out)
     print(f"wrote {len(dataset)} rows to {args.out}")
-    return EXIT_OK
 
 
 def _setup(args):
@@ -181,6 +183,7 @@ def _setup(args):
     arch = _resolve_arch(args)
     specs = make_specs(**arch)
     cfg = _train_config(args)
+    check_split_fractions(args.train_frac, args.val_frac)
     splits = split_holdout(
         load_csv(args.data),
         args.train_frac,
@@ -191,34 +194,53 @@ def _setup(args):
     return arch, specs, cfg, splits
 
 
-def _write_all(outputs) -> None:
-    """Call write(tmp) for each (path, write) pair, then move each tmp to path.
+@contextlib.contextmanager
+def _errors_name(path):
+    """Re-raise an OSError of the block with `path` as its file name."""
+    try:
+        yield
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
 
-    Pairs without a path are skipped. Each tmp is a sibling of its path,
-    and nothing is moved until every write has succeeded, so a failed
-    write leaves no new file and keeps every existing one. An error
-    names the path, not its tmp.
+
+def _write_all(outputs) -> None:
+    """Call write(file) for each (path, write) pair, all or none.
+
+    Pairs without a path are skipped. A symlinked path is resolved, so
+    the file it points to is written and the link kept. A new or regular
+    file is written to a temporary sibling, and an existing special file
+    (a FIFO or a device) in place. The in-place writes run only after
+    every temporary write has succeeded, and each temporary file is moved
+    onto its target only after that, so a failed write leaves no new file
+    and keeps every existing one. An error names the path as given.
     """
-    outputs = [(path, write) for path, write in outputs if path]
-    temps = []
+    staged, in_place = [], []
     try:
         for path, write in outputs:
-            temps.append(f"{path}.{os.getpid()}-{len(temps)}.tmp")
-            try:
-                if os.path.isdir(path):
+            if not path:
+                continue
+            target = os.path.realpath(path)
+            with _errors_name(path):
+                mode = os.stat(target).st_mode if os.path.exists(target) else stat.S_IFREG
+                if stat.S_ISDIR(mode):
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                write(temps[-1])
-            except OSError as e:
-                raise OSError(e.errno, e.strerror, path) from None
-        for (path, _), tmp in zip(outputs, temps):
-            os.replace(tmp, path)
+                if not stat.S_ISREG(mode):
+                    in_place.append((path, target, write))
+                    continue
+                staged.append((f"{target}.{os.getpid()}-{len(staged)}.tmp", target))
+                write(staged[-1][0])
+        for path, target, write in in_place:
+            with _errors_name(path):
+                write(target)
+        for tmp, target in staged:
+            os.replace(tmp, target)
     finally:
-        for tmp in temps:
+        for tmp, _ in staged:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     if args.emit_gnuplot and not args.history_out:
         raise ConfigError("--emit-gnuplot needs --history-out")
     arch, specs, cfg, (train_ds, val_ds, test_ds) = _setup(args)
@@ -244,10 +266,10 @@ def cmd_train(args) -> int:
         f"epochs={cfg.epochs} train_mae={final.train_mae:.6f} "
         f"val_mae={final.val_mae:.6f} test_mae={test_mae:.6f}"
     )
-    return EXIT_OK
 
 
-def cmd_crossval(args) -> int:
+def cmd_crossval(args) -> None:
+    check_fold_count(args.k)
     _, specs, cfg, (train_ds, val_ds, _) = _setup(args)
     pool = concat_datasets(train_ds, val_ds, name="cv-pool")
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
@@ -264,23 +286,20 @@ def cmd_crossval(args) -> int:
     print(
         f"mean_val_mae={report.mean_val_mae:.6f} std_val_mae={report.std_val_mae:.6f}"
     )
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> None:
     net, norm, _ = load_model(args.model)
     test_ds = load_csv(args.data)
     print(f"mae_pct={evaluate(net, norm, test_ds):.6f}")
-    return EXIT_OK
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     net, norm, _ = load_model(args.model)
     dataset = load_features_csv(args.data)
     soc = predict_soc(net, norm, dataset)
     write_predictions_csv(dataset.t, soc, args.out)
     print(f"wrote {len(soc)} predictions to {args.out}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,10 +381,11 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        args.func(args)
     except (SocdfnError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(e, cls))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

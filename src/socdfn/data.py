@@ -90,9 +90,6 @@ class FoldAssignment:
     k: int
     fold_of: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.fold_of)
-
 
 @dataclass(frozen=True, eq=False)
 class Batch:
@@ -254,6 +251,14 @@ def _subset(dataset: Dataset, indices: np.ndarray, name: str) -> Dataset:
     )
 
 
+def check_split_fractions(train_frac: float, val_frac: float) -> None:
+    if not (train_frac > 0.0 and val_frac > 0.0 and train_frac + val_frac < 1.0):
+        raise ConfigError(
+            f"bad split fractions train={train_frac}, val={val_frac}: "
+            "need both positive and train + val < 1"
+        )
+
+
 def split_holdout(
     dataset: Dataset,
     train_frac: float,
@@ -266,11 +271,7 @@ def split_holdout(
     Rows are assigned by a seeded shuffle (or by position with
     shuffle=False) and each split keeps its rows in original file order.
     """
-    if not (train_frac > 0.0 and val_frac > 0.0 and train_frac + val_frac < 1.0):
-        raise ConfigError(
-            f"bad split fractions train={train_frac}, val={val_frac}: "
-            "need both positive and train + val < 1"
-        )
+    check_split_fractions(train_frac, val_frac)
     check_seed(seed)
     n = len(dataset)
     n_train = int(math.floor(n * train_frac + 0.5))
@@ -292,13 +293,19 @@ def split_holdout(
     )
 
 
+def check_fold_count(k: int) -> None:
+    if k < 2:
+        raise ConfigError(f"fold count k={k} must be >= 2")
+
+
 def kfold_split(n: int, k: int, seed: int) -> FoldAssignment:
     """Deal seed-shuffled indices round-robin into k folds.
 
     Every index lands in exactly one fold and fold sizes differ by at
     most one.
     """
-    if not 2 <= k <= n:
+    check_fold_count(k)
+    if k > n:
         raise ConfigError(f"fold count k={k} must satisfy 2 <= k <= n ({n} rows)")
     check_seed(seed)
     perm = make_rng(seed).permutation(n)
@@ -311,10 +318,10 @@ def fold_datasets(
     dataset: Dataset, assignment: FoldAssignment, fold: int
 ) -> tuple[Dataset, Dataset]:
     """(train, val) pair for one fold: val is the fold, train is the rest."""
-    if len(dataset) != len(assignment):
+    if len(dataset) != len(assignment.fold_of):
         raise ShapeError(
             f"dataset of {len(dataset)} rows does not match fold assignment "
-            f"over {len(assignment)} indices"
+            f"over {len(assignment.fold_of)} indices"
         )
     if not 0 <= fold < assignment.k:
         raise ConfigError(f"fold {fold} outside [0, {assignment.k})")

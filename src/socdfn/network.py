@@ -444,12 +444,10 @@ def backward(
             active = buffers.array(("relu", li), grad.shape, bool)
             grad *= np.greater(cache.pre_acts[li], 0.0, out=active)
         dw = np.matmul(cache.inputs[li].T, grad, out=grads.dweights[li])
-        if reg.l2 > 0.0 or reg.l1 > 0.0:
-            scratch = buffers.array(("reg", li), w.shape)
         if reg.l2 > 0.0:
-            dw += np.multiply(2.0 * reg.l2, w, out=scratch)
+            dw += np.multiply(2.0 * reg.l2, w, out=buffers.array(("reg", li), w.shape))
         if reg.l1 > 0.0:
-            np.sign(w, out=scratch)
+            scratch = np.sign(w, out=buffers.array(("reg", li), w.shape))
             scratch *= reg.l1
             dw += scratch
         np.sum(grad, axis=0, out=grads.dbiases[li])

@@ -77,17 +77,15 @@ def init_state(net: Network) -> OptimizerState:
     )
 
 
-def _flat_grad(net: Network, grads: GradientSet) -> np.ndarray:
+def _operands(net: Network, grads: GradientSet, buffers: StepBuffers | None):
+    """(g, s, t): the flat gradient and two scratch vectors of its size."""
     if grads.layout != net.layout:
         raise ShapeError(
             f"gradient layout {grads.layout} does not match parameters {net.layout}"
         )
-    return grads.flat
-
-
-def _scratch(net: Network, buffers: StepBuffers) -> tuple[np.ndarray, np.ndarray]:
-    """Two vectors of the parameter count that hold a step's intermediates."""
-    return tuple(buffers.array(("update", i), net.flat.shape) for i in (0, 1))
+    buffers = buffers or StepBuffers()
+    s, t = (buffers.array(("update", i), net.flat.shape) for i in (0, 1))
+    return grads.flat, s, t
 
 
 def sgd_step(
@@ -97,8 +95,7 @@ def sgd_step(
     buffers: StepBuffers | None = None,
 ) -> Network:
     """w <- w - lr * g for every parameter."""
-    g = _flat_grad(net, grads)
-    s, _ = _scratch(net, buffers or StepBuffers())
+    g, s, _ = _operands(net, grads, buffers)
     net.flat -= np.multiply(cfg.learning_rate, g, out=s)
     net.version += 1
     return net
@@ -112,8 +109,7 @@ def rmsprop_step(
     buffers: StepBuffers | None = None,
 ) -> tuple[Network, OptimizerState]:
     """v <- rho*v + (1-rho)*g^2; w <- w - lr * g / (sqrt(v) + eps)."""
-    g = _flat_grad(net, grads)
-    s, t = _scratch(net, buffers or StepBuffers())
+    g, s, t = _operands(net, grads, buffers)
     state.v *= cfg.rho
     np.multiply(1.0 - cfg.rho, g, out=s)
     s *= g
@@ -140,8 +136,7 @@ def adam_step(
     m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g*g;
     w <- w - lr * (m / bc1) / (sqrt(v / bc2) + eps).
     """
-    g = _flat_grad(net, grads)
-    s, t = _scratch(net, buffers or StepBuffers())
+    g, s, t = _operands(net, grads, buffers)
     step = state.step + 1
     bc1 = 1.0 - cfg.beta1**step
     bc2 = 1.0 - cfg.beta2**step

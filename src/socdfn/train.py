@@ -136,7 +136,6 @@ def train_epoch(
     epoch_seed = shift_seed(cfg.shuffle_seed, epoch)
     loss_sum = 0.0
     mae_sum = 0.0
-    n_rows = 0
     for batch in batch_iter(x, y, cfg.batch_size, shuffle_seed=epoch_seed):
         _, cache = forward(
             net, batch.x, mode="train", dropout_rng=dropout_rng, buffers=buffers
@@ -148,13 +147,12 @@ def train_epoch(
         b = batch.x.shape[0]
         loss_sum += objective * b
         mae_sum += loss_mae(cache.pred, batch.y) * b
-        n_rows += b
         net, opt_state = apply_update(
             opt_state, net, grads, cfg.optimizer, buffers=buffers
         )
     metrics = EpochMetrics(
-        train_loss=loss_sum / n_rows,
-        train_mae=mae_sum / n_rows,
+        train_loss=loss_sum / len(y),
+        train_mae=mae_sum / len(y),
         val_loss=math.nan,
         val_mae=math.nan,
     )
@@ -297,7 +295,6 @@ def cross_validate(
     prediction differently at another thread count, so a score can,
     rarely, differ from the jobs=1 value in its last bit.
     """
-    check_seed(seed)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     assignment = kfold_split(len(pool), k, seed)
@@ -328,6 +325,4 @@ def cross_validate(
 
 def evaluate(net: Network, norm: Normalizer, test: Dataset) -> float:
     """Inference-mode test MAE of predict_finite's unclamped predictions."""
-    if len(test) == 0:
-        raise ConfigError("test set must be non-empty")
     return loss_mae(predict_finite(net, norm, test), test.soc)

@@ -3,8 +3,10 @@
 import hashlib
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -245,6 +247,47 @@ class TestTrain:
         assert err == f"error: [Errno 21] Is a directory: {out[-1]!r}\n"
         assert list(tmp_path.iterdir()) == [tmp_path / "a-dir"]
         assert list((tmp_path / "a-dir").iterdir()) == []
+
+    def test_symlinked_output_is_written_through(self, cycle_csv, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_bytes(b"old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to("real.csv")
+        code, _, err = run_cli(fast_train_args(
+            cycle_csv, extra=["--history-out", str(link)]
+        ))
+        assert code == 0, err
+        assert link.is_symlink()
+        lines = real.read_text().splitlines()
+        assert lines[0] == "epoch,train_loss,train_mae,val_loss,val_mae"
+        assert len(lines) == 3
+        assert sorted(tmp_path.iterdir()) == [link, real]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_output_is_written_in_place(self, cycle_csv, tmp_path):
+        regular = tmp_path / "regular.csv"
+        code, _, err = run_cli(fast_train_args(
+            cycle_csv, extra=["--history-out", str(regular)]
+        ))
+        assert code == 0, err
+        fifo = tmp_path / "h.csv"
+        os.mkfifo(fifo)
+        # A second writer held open, so the reader opens at once and sees
+        # end of file only after this test closes it, whatever the CLI did.
+        held = os.open(fifo, os.O_RDWR)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            code, _, err = run_cli(fast_train_args(
+                cycle_csv, extra=["--history-out", str(fifo)]
+            ))
+        finally:
+            os.close(held)
+            reader.join(timeout=30)
+        assert code == 0, err
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert received == [regular.read_bytes()]
 
     def test_odd_hidden_with_dropout_is_exit_2(self, cycle_csv):
         code, _, err = run_cli([
@@ -604,6 +647,18 @@ def test_bad_path_is_error_without_output(
     ["train", "--data", "missing.csv", "--hidden", "3", "--dropout", "0.5"],
 ])
 def test_flags_are_checked_before_data_is_read(tmp_path, argv):
+    argv[2] = str(tmp_path / argv[2])
+    code, _, err = run_cli(argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "missing.csv", "--train-frac", "2"],
+    ["train", "--data", "missing.csv", "--train-frac", "0.5", "--val-frac", "0.5"],
+    ["crossval", "--data", "missing.csv", "--k", "1"],
+])
+def test_split_and_fold_flags_are_checked_before_data_is_read(tmp_path, argv):
     argv[2] = str(tmp_path / argv[2])
     code, _, err = run_cli(argv)
     assert code == 2

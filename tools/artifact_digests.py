@@ -8,9 +8,10 @@ diff the two listings:
     python tools/artifact_digests.py src > new.txt
     diff old.txt new.txt
 
-For each seed it runs `gen-data`; `train` with both presets (paper-2h
-also with --emit-gnuplot), sgd, rmsprop, --l1/--l2, dropout with
---loss mae, and --no-shuffle; `crossval --k 4` with --jobs 1 and 2;
+For each seed it runs `gen-data`, also on a cycle too short for a
+discharge pulse; `train` with both presets (paper-2h also with
+--emit-gnuplot), sgd, rmsprop, --l1/--l2, dropout with --loss mae, and
+--no-shuffle; `crossval --k 4` with --jobs 1 and 2;
 `predict` on the labeled cycle and on a four-column feature CSV made by
 dropping its soc_pct column; and `evaluate`. It prints one
 `sha256  name` line per output file and per stdout, sorted by name.
@@ -32,6 +33,7 @@ from pathlib import Path
 SEEDS = (0, 1, 2)
 EPOCHS = 3
 CYCLE_SECONDS = 8000  # gen-data writes one row per second
+SHORT_CYCLE_SECONDS = 120  # under 150 steps, so the cycle has no discharge pulse
 
 # name -> extra train flags. Every run also writes a model, a history and
 # its test split.
@@ -63,6 +65,8 @@ def run_seed(src: Path, workdir: Path, seed: int) -> None:
     s = f"s{seed}"
     run(src, workdir, ["gen-data", "--out", f"{s}-cycle.csv", "--seed", str(seed),
                        "--duration", str(CYCLE_SECONDS)], f"{s}-gen-data.stdout")
+    run(src, workdir, ["gen-data", "--out", f"{s}-cycle-short.csv", "--seed", str(seed),
+                       "--duration", str(SHORT_CYCLE_SECONDS)], f"{s}-gen-data-short.stdout")
     common = ["--data", f"{s}-cycle.csv", "--epochs", str(EPOCHS), "--seed", str(seed)]
     for name, flags in TRAIN_RUNS.items():
         out = f"{s}-train-{name}"
