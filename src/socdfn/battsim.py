@@ -25,6 +25,9 @@ logger = logging.getLogger(__name__)
 
 # Fraction of peak discharge allowed as regen (charging) current.
 REGEN_PEAK_FRACTION = 0.5
+# The smallest float that the CSV's 10 mV voltage column prints as 0.01
+# rather than 0.00; load_csv refuses a voltage that is not positive.
+MIN_WRITTEN_VOLTAGE_V = 0.005
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,9 @@ def generate_drive_cycle(cfg: CycleConfig) -> np.ndarray:
     starts = rng.integers(0, n, size=n_pulses)
     widths = rng.integers(5, 26, size=n_pulses)
     depths = peak * rng.uniform(0.10, 0.40, size=n_pulses)
-    for s, w, d in zip(starts, widths, depths):
-        current[s : s + w] -= d
+    with np.errstate(over="ignore"):  # clipped to -peak below
+        for s, w, d in zip(starts, widths, depths):
+            current[s : s + w] -= d
 
     # Regen segments: braking recharges the cell for short stretches.
     if cfg.regen_fraction > 0.0:
@@ -144,7 +148,9 @@ def simulate_cell(
     soc(t) = soc0 + (100 / (3600 * capacity)) * sum(i * dt); emitted
     labels are that integral clamped to [0, 100], and the run truncates
     after emitting the first row whose integral has reached 0. Row k
-    carries time (k + 1) * dt, the state after applying step k.
+    carries time (k + 1) * dt, the state after applying step k. Raises
+    ConfigError naming the first step that load_csv would refuse once
+    written: a non-finite value, or a voltage that rounds to 0 V or below.
     """
     if not 0.0 < soc0_pct <= 100.0:
         raise ConfigError(f"soc0_pct must be in (0, 100], got {soc0_pct}")
@@ -153,21 +159,24 @@ def simulate_cell(
     profile = np.asarray(profile, dtype=np.float64)
     soc_per_amp_step = 100.0 * dt_s / (3600.0 * params.capacity_ah)
 
-    # Sequential running sum: the same additions, in the same order, as
-    # stepping soc += soc_per_amp_step * i one row at a time.
-    raw = np.add.accumulate(np.concatenate(([soc0_pct], soc_per_amp_step * profile)))[1:]
-    empty = np.flatnonzero(raw <= 0.0)
-    if empty.size:
-        n = int(empty[0]) + 1
-        logger.info("cell empty after step %d of %d, truncating cycle", n, len(profile))
-        raw = raw[:n]
-    current = profile[: len(raw)].copy()
-    soc = np.clip(raw, 0.0, 100.0)
-    volts = params.ocv(soc) + current * params.r_internal_ohm
-    heat_target = (
-        params.ambient_c
-        + params.heat_coeff_k_per_w * current * current * params.r_internal_ohm
-    )
+    # Overflow and inf - inf are caught by the row check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Sequential running sum: the same additions, in the same order, as
+        # stepping soc += soc_per_amp_step * i one row at a time.
+        steps = soc_per_amp_step * profile
+        raw = np.add.accumulate(np.concatenate(([soc0_pct], steps)))[1:]
+        empty = np.flatnonzero(raw <= 0.0)
+        if empty.size:
+            n = int(empty[0]) + 1
+            logger.info("cell empty after step %d of %d, truncating cycle", n, len(profile))
+            raw = raw[:n]
+        current = profile[: len(raw)].copy()
+        soc = np.clip(raw, 0.0, 100.0)
+        volts = params.ocv(soc) + current * params.r_internal_ohm
+        heat_target = (
+            params.ambient_c
+            + params.heat_coeff_k_per_w * current * current * params.r_internal_ohm
+        )
     # The thermal lag feeds each step's temperature into the next.
     alpha = dt_s / params.thermal_tau_s
     temps = []
@@ -175,6 +184,17 @@ def simulate_cell(
     for target in heat_target.tolist():
         temp += alpha * (target - temp)
         temps.append(temp)
+    temps = np.array(temps)
+    ok = np.isfinite([volts, current, temps, soc]).all(axis=0)
+    ok &= volts >= MIN_WRITTEN_VOLTAGE_V
+    if not ok.all():
+        k = int(np.argmin(ok))
+        v, i, temp = (float(c[k]) for c in (volts, current, temps))
+        raise ConfigError(
+            f"simulated step {k + 1} has voltage_v {v!r}, current_a {i!r}, "
+            f"temp_c {temp!r}; a written cycle needs finite values and a "
+            "voltage that rounds to at least 0.01"
+        )
     return Dataset(
         t=np.arange(1, len(raw) + 1) * dt_s,
         voltage=volts,

@@ -18,7 +18,6 @@ import contextlib
 import errno
 import logging
 import os
-import stat
 import sys
 from functools import partial
 
@@ -45,7 +44,7 @@ from .modelio import (
 from .network import LOSS_KINDS, make_specs, predict_soc, RegConfig
 from .optimize import OPTIMIZER_KINDS, OptimizerConfig
 from .rng import BIT_GENERATOR, shift_seed
-from .train import TrainConfig, cross_validate, evaluate, fit_datasets
+from .train import TrainConfig, check_jobs, cross_validate, evaluate, fit_datasets
 
 logger = logging.getLogger(__name__)
 
@@ -174,7 +173,7 @@ def cmd_gen_data(args) -> None:
         seed=args.seed,
     )
     dataset = synth_dataset(cell, cycle, soc0_pct=args.soc0)
-    write_csv(dataset, args.out)
+    _write_all([(args.out, partial(write_csv, dataset))])
     print(f"wrote {len(dataset)} rows to {args.out}")
 
 
@@ -194,44 +193,36 @@ def _setup(args):
     return arch, specs, cfg, splits
 
 
-@contextlib.contextmanager
-def _errors_name(path):
-    """Re-raise an OSError of the block with `path` as its file name."""
-    try:
-        yield
-    except OSError as e:
-        raise OSError(e.errno, e.strerror, path) from None
-
-
 def _write_all(outputs) -> None:
     """Call write(file) for each (path, write) pair, all or none.
 
-    Pairs without a path are skipped. A symlinked path is resolved, so
-    the file it points to is written and the link kept. A new or regular
-    file is written to a temporary sibling, and an existing special file
-    (a FIFO or a device) in place. The in-place writes run only after
-    every temporary write has succeeded, and each temporary file is moved
-    onto its target only after that, so a failed write leaves no new file
-    and keeps every existing one. An error names the path as given.
+    Pairs without a path are skipped. Each path is classified as given,
+    following links: an existing special file (a FIFO, a device, a piped
+    /dev/stdout) is written in place, and a new or regular file is written
+    to a temporary sibling of its resolved path, so a symlink is kept. The
+    in-place writes run only after every temporary write has succeeded,
+    and each temporary file is moved onto its target only after that, so
+    a failed write leaves no new file and keeps every existing one. An
+    error names the path as given.
     """
     staged, in_place = [], []
     try:
         for path, write in outputs:
             if not path:
                 continue
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if os.path.exists(path) and not os.path.isfile(path):
+                in_place.append((path, write))
+                continue
             target = os.path.realpath(path)
-            with _errors_name(path):
-                mode = os.stat(target).st_mode if os.path.exists(target) else stat.S_IFREG
-                if stat.S_ISDIR(mode):
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                if not stat.S_ISREG(mode):
-                    in_place.append((path, target, write))
-                    continue
-                staged.append((f"{target}.{os.getpid()}-{len(staged)}.tmp", target))
+            staged.append((f"{target}.{os.getpid()}-{len(staged)}.tmp", target))
+            try:
                 write(staged[-1][0])
-        for path, target, write in in_place:
-            with _errors_name(path):
-                write(target)
+            except OSError as e:
+                raise OSError(e.errno, e.strerror, path) from None
+        for path, write in in_place:
+            write(path)
         for tmp, target in staged:
             os.replace(tmp, target)
     finally:
@@ -270,14 +261,14 @@ def cmd_train(args) -> None:
 
 def cmd_crossval(args) -> None:
     check_fold_count(args.k)
+    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    check_jobs(jobs)
     _, specs, cfg, (train_ds, val_ds, _) = _setup(args)
     pool = concat_datasets(train_ds, val_ds, name="cv-pool")
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     report = cross_validate(
         pool, specs, args.k, cfg, seed=shift_seed(args.seed, 3), jobs=jobs
     )
-    if args.report_out:
-        write_cv_csv(report, args.report_out)
+    _write_all([(args.report_out, partial(write_cv_csv, report))])
     for fold in range(report.k):
         print(
             f"fold {fold}: final_val_mae={report.per_fold_final_val_mae[fold]:.6f} "
@@ -298,7 +289,7 @@ def cmd_predict(args) -> None:
     net, norm, _ = load_model(args.model)
     dataset = load_features_csv(args.data)
     soc = predict_soc(net, norm, dataset)
-    write_predictions_csv(dataset.t, soc, args.out)
+    _write_all([(args.out, partial(write_predictions_csv, dataset.t, soc))])
     print(f"wrote {len(soc)} predictions to {args.out}")
 
 

@@ -277,6 +277,11 @@ def _blas_threads_per_worker(workers: int):
         set_threads(previous)
 
 
+def check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+
+
 def cross_validate(
     pool: Dataset,
     specs,
@@ -295,8 +300,7 @@ def cross_validate(
     prediction differently at another thread count, so a score can,
     rarely, differ from the jobs=1 value in its last bit.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    check_jobs(jobs)
     assignment = kfold_split(len(pool), k, seed)
     folds = range(k)
     if jobs > 1:

@@ -15,8 +15,8 @@ import pytest
 from conftest import rows_of, run_cli
 
 import socdfn
-from socdfn.data import load_csv
-from socdfn.modelio import load_model, save_model
+from socdfn.data import CSV_HEADER, PREDICTION_HEADER, load_csv
+from socdfn.modelio import CV_HEADER, HISTORY_HEADER, load_model, save_model
 from socdfn.network import LayerSpec, Network
 
 TRAIN_LINE = re.compile(
@@ -552,6 +552,9 @@ BAD_FLAG_VALUES = [
     ("train", "--l2", "inf"),
     ("crossval", "--jobs", "0"),
     ("crossval", "--jobs", "-3"),
+    ("gen-data", "--r-internal", "20"),
+    ("gen-data", "--peak", "1e308"),
+    ("gen-data", "--peak", "1.7e308"),
 ]
 
 
@@ -641,6 +644,58 @@ def test_bad_path_is_error_without_output(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+# (subcommand, output flag, first line of that output): one per subcommand
+# that writes a file, each through the same write path.
+WRITTEN_OUTPUTS = [
+    ("gen-data", "--out", CSV_HEADER),
+    ("train", "--history-out", HISTORY_HEADER),
+    ("crossval", "--report-out", CV_HEADER),
+    ("predict", "--out", PREDICTION_HEADER),
+]
+
+
+@pytest.mark.parametrize("target", ["piped-stdout", "symlink"])
+@pytest.mark.parametrize(
+    "command, flag, header", WRITTEN_OUTPUTS, ids=[c for c, _, _ in WRITTEN_OUTPUTS]
+)
+def test_output_is_written_in_place_or_through_link(
+    trained, cycle_csv, tmp_path, command, flag, header, target
+):
+    # A separate interpreter whose stdout is a pipe, as in `socdfn ... | cat`.
+    # It runs in tmp_path, where a stray temporary file would show.
+    model, _ = trained
+    tiny = ["--data", str(cycle_csv), "--hidden", "1", "--units", "4", "--epochs", "1"]
+    argv = {
+        "gen-data": ["gen-data", "--duration", "300"],
+        "train": ["train", *tiny],
+        "crossval": ["crossval", *tiny, "--k", "2", "--jobs", "1"],
+        "predict": ["predict", "--model", str(model), "--data", str(cycle_csv)],
+    }[command]
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    if target == "piped-stdout":
+        if not os.path.exists("/dev/stdout"):
+            pytest.skip("no /dev/stdout to name the child's stdout by")
+        out = "/dev/stdout"
+    else:
+        real.write_bytes(b"old\n")
+        link.symlink_to(real.name)
+        out = str(link)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(socdfn.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "socdfn.cli", *argv, flag, out],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if target == "piped-stdout":
+        assert proc.stdout.startswith(header + "\n")
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert link.is_symlink()
+        assert real.read_text().startswith(header + "\n")
+        assert sorted(tmp_path.iterdir()) == [link, real]
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--data", "missing.csv", "--lr", "nan"],
     ["crossval", "--data", "missing.csv", "--k", "4", "--l2", "inf"],
@@ -657,6 +712,7 @@ def test_flags_are_checked_before_data_is_read(tmp_path, argv):
     ["train", "--data", "missing.csv", "--train-frac", "2"],
     ["train", "--data", "missing.csv", "--train-frac", "0.5", "--val-frac", "0.5"],
     ["crossval", "--data", "missing.csv", "--k", "1"],
+    ["crossval", "--data", "missing.csv", "--k", "4", "--jobs", "0"],
 ])
 def test_split_and_fold_flags_are_checked_before_data_is_read(tmp_path, argv):
     argv[2] = str(tmp_path / argv[2])
