@@ -431,18 +431,20 @@ def backward(
     grads = buffers.gradients(net)
     # grad is the delta arriving at layer li's output. It is always an
     # array this call owns, so masking and the ReLU derivative are
-    # applied in place, turning it into dz.
+    # applied in place, turning it into dz. A ReLU layer's output, the
+    # next layer's input, is positive exactly where z > 0 and the
+    # dropout mask keeps the unit, so one test applies both; factors of
+    # 0 and 1 are exact, so only the 1/keep scale rounds.
     grad = dpred[:, None]
     for li in range(len(net.layers) - 1, -1, -1):
         spec = net.layers[li]
         w = net.weights[li]
-        mask = cache.masks[li]
-        if mask is not None:
-            grad *= mask
-            grad /= 1.0 - spec.dropout_after
         if spec.activation == "relu":
-            active = buffers.array(("relu", li), grad.shape, bool)
-            grad *= np.greater(cache.pre_acts[li], 0.0, out=active)
+            grad *= cache.inputs[li + 1] > 0.0
+        elif cache.masks[li] is not None:
+            grad *= cache.masks[li]
+        if cache.masks[li] is not None:
+            grad /= 1.0 - spec.dropout_after
         dw = np.matmul(cache.inputs[li].T, grad, out=grads.dweights[li])
         if reg.l2 > 0.0:
             dw += np.multiply(2.0 * reg.l2, w, out=buffers.array(("reg", li), w.shape))
