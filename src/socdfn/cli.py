@@ -29,7 +29,6 @@ from .data import (
     concat_datasets,
     load_csv,
     load_features_csv,
-    split_holdout,
     write_csv,
     write_predictions_csv,
 )
@@ -43,8 +42,8 @@ from .modelio import (
 )
 from .network import LOSS_KINDS, make_specs, predict_soc, RegConfig
 from .optimize import OPTIMIZER_KINDS, OptimizerConfig
-from .rng import BIT_GENERATOR, shift_seed
-from .train import TrainConfig, check_jobs, cross_validate, evaluate, fit_datasets
+from .rng import BIT_GENERATOR
+from .train import TrainConfig, check_jobs, cross_validate, evaluate, fit_datasets, holdout
 
 logger = logging.getLogger(__name__)
 
@@ -137,7 +136,7 @@ def _train_config(args) -> TrainConfig:
             epsilon=args.epsilon,
         ),
         reg=RegConfig(l1=args.l1, l2=args.l2),
-        shuffle_seed=shift_seed(args.seed, 2),
+        shuffle_seed=args.seed,
         loss=args.loss,
     )
 
@@ -183,7 +182,7 @@ def _setup(args):
     specs = make_specs(**arch)
     cfg = _train_config(args)
     check_split_fractions(args.train_frac, args.val_frac)
-    splits = split_holdout(
+    splits = holdout(
         load_csv(args.data),
         args.train_frac,
         args.val_frac,
@@ -239,9 +238,7 @@ def cmd_train(args) -> None:
         "training %d epochs on %d rows (val %d, test %d)",
         cfg.epochs, len(train_ds), len(val_ds), len(test_ds),
     )
-    net, norm, history = fit_datasets(
-        specs, shift_seed(args.seed, 1), train_ds, val_ds, cfg
-    )
+    net, norm, history = fit_datasets(specs, args.seed, train_ds, val_ds, cfg)
     test_mae = evaluate(net, norm, test_ds)
     gnuplot_out = args.emit_gnuplot and f"{args.history_out}.gnuplot"
     _write_all([
@@ -265,9 +262,7 @@ def cmd_crossval(args) -> None:
     check_jobs(jobs)
     _, specs, cfg, (train_ds, val_ds, _) = _setup(args)
     pool = concat_datasets(train_ds, val_ds, name="cv-pool")
-    report = cross_validate(
-        pool, specs, args.k, cfg, seed=shift_seed(args.seed, 3), jobs=jobs
-    )
+    report = cross_validate(pool, specs, args.k, cfg, seed=args.seed, jobs=jobs)
     _write_all([(args.report_out, partial(write_cv_csv, report))])
     for fold in range(report.k):
         print(

@@ -311,18 +311,21 @@ def forward(
     cache = ForwardCache(mode=mode, net=net, net_version=net.version)
     a = x
     for li, spec in enumerate(net.layers):
+        shape = (x.shape[0], spec.out_dim)
+        w = net.weights[li]
+        z = buffers.array(("z", li), shape) if mode == "train" else np.empty(shape)
+        if spec.out_dim == 1:
+            # einsum's row dot products round the same at any BLAS thread
+            # count; OpenBLAS's threaded matrix-vector product does not.
+            np.einsum("ij,j->i", a, w[:, 0], out=z[:, 0])
+        else:
+            np.matmul(a, w, out=z)
+        z += net.biases[li]
         if mode == "inference":
             # Nothing replays an inference pass: activate in place and
             # keep no per-layer arrays.
-            z = a @ net.weights[li]
-            z += net.biases[li]
-            if spec.activation == "relu":
-                np.maximum(z, 0.0, out=z)
-            a = z
+            a = np.maximum(z, 0.0, out=z) if spec.activation == "relu" else z
             continue
-        shape = (x.shape[0], spec.out_dim)
-        z = np.matmul(a, net.weights[li], out=buffers.array(("z", li), shape))
-        z += net.biases[li]
         cache.inputs.append(a)
         cache.pre_acts.append(z)
         if spec.activation == "relu":
@@ -463,14 +466,19 @@ def backward(
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
     """Inference-mode forward on an already-normalized feature matrix.
 
-    Runs in blocks of INFERENCE_BLOCK_ROWS rows, so the hidden-layer
-    activations held at once stay a few MB whatever the row count.
+    Runs in near-equal blocks of at most INFERENCE_BLOCK_ROWS rows, so
+    the hidden-layer activations held at once stay a few MB whatever the
+    row count. No block has one row unless x does: numpy sends a one-row
+    product to BLAS's matrix-vector routine, which rounds differently
+    from the matrix product, so the bits equal one forward over x.
     """
     x = _check_input(net, x)
-    pred = np.empty(x.shape[0], dtype=np.float64)
-    for start in range(0, x.shape[0], INFERENCE_BLOCK_ROWS):
-        stop = start + INFERENCE_BLOCK_ROWS
-        pred[start:stop], _ = forward(net, x[start:stop], mode="inference")
+    n = x.shape[0]
+    pred = np.empty(n, dtype=np.float64)
+    blocks = -(-n // INFERENCE_BLOCK_ROWS)
+    for i in range(blocks):
+        rows = slice(i * n // blocks, (i + 1) * n // blocks)
+        pred[rows], _ = forward(net, x[rows], mode="inference")
     return pred
 
 

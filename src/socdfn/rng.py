@@ -2,8 +2,10 @@
 
 Every stochastic choice in the package (splits, shuffles, weight init,
 dropout, drive-cycle synthesis) draws from a numpy PCG64 generator built
-here, so a run is fully reproduced by its seeds. PCG64 is the single
-generator family used; do not mix in other bit generators.
+here, so a run is fully reproduced by its seeds. A training run keys the
+stream of each concern on (seed, concern, ...), so no two concerns share
+a stream. PCG64 is the single generator family used; do not mix in other
+bit generators.
 """
 
 import numpy as np
@@ -30,22 +32,21 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def shift_seed(seed: int, offset: int) -> int:
-    """Arithmetic seed derivation, wrapped into the valid 64-bit range."""
-    return (check_seed(seed) + offset) % (MAX_SEED + 1)
+def _seed_sequence(seed: int, key) -> np.random.SeedSequence:
+    """SeedSequence of [seed, *key], each str part read as an ASCII integer."""
+    ints = (int.from_bytes(p.encode("ascii"), "big") if isinstance(p, str) else int(p)
+            for p in key)
+    return np.random.SeedSequence([check_seed(seed), *ints])
+
+
+def derive_seed(seed: int, *key) -> int:
+    """64-bit seed keyed (seed, *key), such as (seed, "shuffle", epoch).
+
+    Distinct keys give unrelated seeds, so no two concerns share a stream.
+    """
+    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])
 
 
 def substream(seed: int, *key) -> np.random.Generator:
-    """Derived PCG64 stream, keyed so distinct purposes never collide.
-
-    Keys may be ints or short ASCII tags; used for per-epoch dropout
-    streams where a plain arithmetic offset of the shuffle seed would
-    alias the shuffle stream itself.
-    """
-    parts = [check_seed(seed)]
-    for part in key:
-        if isinstance(part, str):
-            parts.append(int.from_bytes(part.encode("ascii"), "big"))
-        else:
-            parts.append(int(part))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(parts)))
+    """PCG64 stream keyed (seed, *key), encoded as derive_seed's keys are."""
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, key)))

@@ -25,6 +25,7 @@ from .data import (
     fit_normalizer,
     fold_datasets,
     kfold_split,
+    split_holdout,
 )
 from .errors import ConfigError, NumericError
 from .network import (
@@ -41,11 +42,7 @@ from .network import (
     predict_finite,
 )
 from .optimize import OptimizerConfig, OptimizerState, apply_update, init_state
-from .rng import check_seed, shift_seed, substream
-
-# Fold shuffle seeds are spaced far enough apart that per-epoch offsets
-# (shuffle_seed + epoch) can never collide across folds.
-_FOLD_SEED_STRIDE = 1_000_003
+from .rng import check_seed, derive_seed, substream
 
 
 @dataclass(frozen=True)
@@ -124,8 +121,9 @@ def train_epoch(
 ) -> tuple[Network, OptimizerState, EpochMetrics]:
     """One pass over all batches; returns size-weighted train metrics.
 
-    Batch order reshuffles per epoch from shuffle_seed + epoch, and the
-    dropout stream is keyed on (shuffle_seed, "dropout", epoch). Every
+    Batch order and dropout masks come from the (shuffle_seed,
+    "shuffle", epoch) and (shuffle_seed, "dropout", epoch) streams, so
+    an epoch's streams do not depend on the epoch count. Every
     batch's forward, backward and update reuse the arrays of one
     StepBuffers, which is freed when the epoch ends, so it does not add
     to the memory of fit's validation pass. Validation fields of the
@@ -133,7 +131,7 @@ def train_epoch(
     """
     buffers = StepBuffers()
     dropout_rng = substream(cfg.shuffle_seed, "dropout", epoch)
-    epoch_seed = shift_seed(cfg.shuffle_seed, epoch)
+    epoch_seed = derive_seed(cfg.shuffle_seed, "shuffle", epoch)
     loss_sum = 0.0
     mae_sum = 0.0
     for batch in batch_iter(x, y, cfg.batch_size, shuffle_seed=epoch_seed):
@@ -197,33 +195,26 @@ def fit(
     return net, RunHistory(epochs=tuple(history))
 
 
+def holdout(
+    dataset: Dataset, train_frac: float, val_frac: float, seed: int, shuffle: bool = True
+) -> tuple[Dataset, Dataset, Dataset]:
+    """split_holdout with its shuffle drawn from the (seed, "split") stream."""
+    seed = derive_seed(seed, "split")
+    return split_holdout(dataset, train_frac, val_frac, seed=seed, shuffle=shuffle)
+
+
 def fit_datasets(
     specs, seed: int, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig
 ) -> tuple[Network, Normalizer, RunHistory]:
-    """Fit init_network(specs, seed); both splits normalized by train_ds's stats."""
+    """Fit a network initialized from the (seed, "init") stream.
+
+    Both splits are normalized by train_ds's statistics.
+    """
     norm = fit_normalizer(train_ds)
     x_train, x_val = (apply_normalizer(norm, ds) for ds in (train_ds, val_ds))
-    net = init_network(specs, seed)
+    net = init_network(specs, derive_seed(seed, "init"))
     net, history = fit(net, x_train, train_ds.soc, x_val, val_ds.soc, cfg)
     return net, norm, history
-
-
-def _run_fold(
-    pool: Dataset,
-    assignment,
-    fold: int,
-    specs,
-    cfg: TrainConfig,
-    seed: int,
-) -> RunHistory:
-    train_ds, val_ds = fold_datasets(pool, assignment, fold)
-    fold_cfg = replace(
-        cfg, shuffle_seed=shift_seed(cfg.shuffle_seed, fold * _FOLD_SEED_STRIDE)
-    )
-    _, _, history = fit_datasets(
-        specs, shift_seed(seed, 1 + fold), train_ds, val_ds, fold_cfg
-    )
-    return history
 
 
 def _openblas_thread_fns():
@@ -292,29 +283,30 @@ def cross_validate(
 ) -> CVReport:
     """K-fold run: fresh seeded network per fold, normalizer refit per fold.
 
-    The fold score is the final-epoch validation MAE; the best epoch's
-    value is reported alongside. Folds are independent, so jobs > 1 runs
-    them in a thread pool. While the pool runs, OpenBLAS gets
-    cpu_count // workers threads per worker, at most its own setting.
-    Its threaded matrix-vector product can round the last bit of a
-    prediction differently at another thread count, so a score can,
-    rarely, differ from the jobs=1 value in its last bit.
+    Rows are dealt to folds by the (seed, "folds") stream. Fold j runs
+    fit_datasets with the seed derive_seed(seed, "fold", j) and the
+    shuffle_seed derive_seed(cfg.shuffle_seed, "fold", j). The fold
+    score is the final-epoch validation MAE; the best epoch's value is
+    reported alongside. Folds are independent, so jobs > 1 runs them in
+    a thread pool, with the same scores. While the pool runs, OpenBLAS
+    gets cpu_count // workers threads per worker, at most its own
+    setting.
     """
     check_jobs(jobs)
-    assignment = kfold_split(len(pool), k, seed)
-    folds = range(k)
+    assignment = kfold_split(len(pool), k, derive_seed(seed, "folds"))
+
+    def run_fold(j: int) -> RunHistory:
+        train_ds, val_ds = fold_datasets(pool, assignment, j)
+        fold_cfg = replace(cfg, shuffle_seed=derive_seed(cfg.shuffle_seed, "fold", j))
+        fold_seed = derive_seed(seed, "fold", j)
+        return fit_datasets(specs, fold_seed, train_ds, val_ds, fold_cfg)[2]
+
     if jobs > 1:
         workers = min(jobs, k)
-        with _blas_threads_per_worker(workers), ThreadPoolExecutor(
-            max_workers=workers
-        ) as pool_exec:
-            histories = list(
-                pool_exec.map(
-                    lambda j: _run_fold(pool, assignment, j, specs, cfg, seed), folds
-                )
-            )
+        with _blas_threads_per_worker(workers), ThreadPoolExecutor(workers) as ex:
+            histories = list(ex.map(run_fold, range(k)))
     else:
-        histories = [_run_fold(pool, assignment, j, specs, cfg, seed) for j in folds]
+        histories = [run_fold(j) for j in range(k)]
     finals = tuple(h.final.val_mae for h in histories)
     bests = tuple(h.best_val_mae() for h in histories)
     return CVReport(

@@ -189,6 +189,16 @@ class TestForward:
         # activation is 8 MB.
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("rows", [4500, 16385])
+    @pytest.mark.parametrize("block_rows", [128, network.INFERENCE_BLOCK_ROWS])
+    def test_blocked_predict_equals_whole_forward(self, monkeypatch, rows, block_rows):
+        # 16385 rows in 8192-row blocks would leave a one-row block.
+        net = init_network(make_specs(2, 256, 0.0), seed=3)
+        x = make_rng(1).normal(size=(rows, 3))
+        whole, _ = forward(net, x)
+        monkeypatch.setattr(network, "INFERENCE_BLOCK_ROWS", block_rows)
+        np.testing.assert_array_equal(predict(net, x), whole)
+
     def test_input_width_checked(self):
         net = init_network(make_specs(1, 4, 0.0), seed=0)
         with pytest.raises(ShapeError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from socdfn.errors import ConfigError
-from socdfn.rng import MAX_SEED, check_seed, make_rng, shift_seed, substream
+from socdfn.rng import MAX_SEED, check_seed, derive_seed, make_rng, substream
 
 
 class TestCheckSeed:
@@ -45,21 +45,29 @@ class TestMakeRng:
         assert type(make_rng(0).bit_generator).__name__ == "PCG64"
 
 
-class TestShiftSeed:
-    def test_plain_offset(self):
-        assert shift_seed(10, 5) == 15
+class TestDeriveSeed:
+    def test_deterministic_and_in_range(self):
+        seed = derive_seed(5, "shuffle", 3)
+        assert seed == derive_seed(5, "shuffle", 3)
+        assert check_seed(seed) == seed
 
-    def test_wraps_at_64_bits(self):
-        assert shift_seed(MAX_SEED, 1) == 0
-        assert shift_seed(MAX_SEED, 2) == 1
+    def test_key_parts_matter(self):
+        seeds = {derive_seed(5, "shuffle", 3), derive_seed(5, "shuffle", 4),
+                 derive_seed(5, "dropout", 3), derive_seed(6, "shuffle", 3),
+                 derive_seed(5, "fold", 3)}
+        assert len(seeds) == 5
 
-    def test_validates_base_seed(self):
+    def test_shares_substream_key_encoding(self):
+        state = np.random.SeedSequence([5, int.from_bytes(b"init", "big"), 2])
+        assert derive_seed(5, "init", 2) == int(state.generate_state(1, np.uint64)[0])
+        np.testing.assert_array_equal(
+            substream(5, "init", 2).random(4),
+            np.random.Generator(np.random.PCG64(state)).random(4),
+        )
+
+    def test_validates_seed(self):
         with pytest.raises(ConfigError):
-            shift_seed(-3, 1)
-
-    def test_shifted_values_stay_valid(self):
-        for offset in (0, 1, 7, 10**9):
-            check_seed(shift_seed(MAX_SEED - 2, offset))
+            derive_seed(-3, "split")
 
 
 class TestSubstream:
