@@ -10,6 +10,7 @@ in percentage points.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,27 +98,6 @@ class Batch:
     y: np.ndarray
 
 
-def _check_row(values: list[float], line: int) -> None:
-    for field_name, value in zip(_CSV_FIELDS, values):
-        if not math.isfinite(value):
-            raise DataError(f"non-finite value in column {field_name}", line=line)
-    _, voltage, _, _, soc = values
-    if not 0.0 <= soc <= 100.0:
-        raise DataError(f"soc_pct {soc!r} outside [0, 100]", line=line)
-    if voltage <= 0.0:
-        raise DataError(f"voltage_v {voltage!r} must be positive", line=line)
-
-
-def _parse_floats(fields: list[str], line: int) -> list[float]:
-    values = []
-    for token in fields:
-        try:
-            values.append(float(token))
-        except ValueError:
-            raise DataError(f"cannot parse {token!r} as a number", line=line) from None
-    return values
-
-
 def load_csv(path) -> Dataset:
     """Read a full drive-cycle CSV; every row must carry an SOC label.
 
@@ -138,41 +118,88 @@ def load_features_csv(path) -> Dataset:
 
 
 def _read_columns(path, require_soc: bool) -> np.ndarray:
-    """(5, n) array of the file's columns; checks each line in file order."""
+    """(5, n) array of the file's columns; reports the file's first bad line.
+
+    Lines are split and parsed one at a time up to the first blank line,
+    wrong field count or unparsable token. The value checks then run
+    per column over the rows before it, so a bad value on an earlier
+    line is reported first.
+    """
     headers = _LABELED_HEADERS if require_soc else _FEATURE_HEADERS
+    flat = array("d")
+    fault = None
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n")
         if header not in headers:
             expected = " or ".join(map(repr, headers))
             raise DataError(f"bad header {header!r}, expected {expected}", line=1)
         n_fields = headers[header]
-        flat = []
-        prev_t = -math.inf
         for line_no, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\r\n")
-            if line == "":
-                raise DataError("blank line", line=line_no)
-            fields = line.split(",")
+            fields = raw.rstrip("\r\n").split(",")
             if len(fields) != n_fields:
-                raise DataError(
-                    f"expected {n_fields} fields, got {len(fields)}", line=line_no
+                message = (
+                    "blank line" if fields == [""]
+                    else f"expected {n_fields} fields, got {len(fields)}"
                 )
-            values = _parse_floats(fields, line_no)
-            if n_fields == 4:
-                values.append(0.0)
-            if require_soc:
-                _check_row(values, line_no)
-            elif not all(math.isfinite(v) for v in values):
-                raise DataError("non-finite value", line=line_no)
-            t = values[0]
-            if t < prev_t:
-                raise DataError(f"t_s {t!r} decreases from previous row", line=line_no)
-            prev_t = t
-            flat.extend(values)
-    if not flat:
+                fault = DataError(message, line=line_no)
+                break
+            try:
+                flat.extend(map(float, fields))
+            except ValueError:
+                token = next(f for f in fields if not _parses(f))
+                fault = DataError(f"cannot parse {token!r} as a number", line=line_no)
+                break
+    # Floor division drops the values a failed line parsed before its bad token.
+    n_rows = len(flat) // n_fields
+    rows = np.frombuffer(flat, count=n_rows * n_fields).reshape(n_rows, n_fields)
+    columns = np.zeros((len(COLUMNS), n_rows))
+    columns[:n_fields] = rows.T
+    fault = _first_value_fault(columns, require_soc) or fault
+    if fault is not None:
+        raise fault
+    if n_rows == 0:
         raise DataError("empty dataset (no data rows)")
-    # Row-major rows, transposed and copied so each column is contiguous.
-    return np.array(flat, dtype=np.float64).reshape(-1, len(COLUMNS)).T.copy()
+    return columns
+
+
+def _parses(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _value_checks(columns: np.ndarray, require_soc: bool):
+    """(bad-row mask, message template, column) per check, in per-row order."""
+    t, voltage, _, _, soc = columns
+    if require_soc:
+        for name, column in zip(_CSV_FIELDS, columns):
+            yield ~np.isfinite(column), f"non-finite value in column {name}", column
+        yield ~((soc >= 0.0) & (soc <= 100.0)), "soc_pct {!r} outside [0, 100]", soc
+        yield voltage <= 0.0, "voltage_v {!r} must be positive", voltage
+    else:
+        yield ~np.isfinite(columns).all(axis=0), "non-finite value", t
+    decreasing = np.zeros(len(t), dtype=bool)
+    np.less(t[1:], t[:-1], out=decreasing[1:])
+    yield decreasing, "t_s {!r} decreases from previous row", t
+
+
+def _first_value_fault(columns: np.ndarray, require_soc: bool) -> DataError | None:
+    """The earliest bad row's first failing check, or None; row i is line i + 2.
+
+    Every row before the earliest bad one passed all checks, so its
+    decreasing-time check compares with a valid previous row.
+    """
+    first = None
+    for bad, template, column in _value_checks(columns, require_soc):
+        if not bad.any():
+            continue
+        row = int(bad.argmax())
+        # Strictly earlier only: on a tie the check that comes first wins.
+        if first is None or row < first[0]:
+            first = (row, template.format(column[row].item()))
+    return None if first is None else DataError(first[1], line=first[0] + 2)
 
 
 def write_table(path, header: str, row_fmt: str, columns) -> None:

@@ -198,25 +198,32 @@ class ForwardCache:
 
 
 class StepBuffers:
-    """Arrays that training steps reuse from batch to batch.
+    """Arrays that training steps and inference blocks reuse.
 
-    Train-mode forward, backward, penalty and the optimize update rules
-    write their layer arrays, masks, deltas, gradients and scratch
-    vectors here, one set per batch shape, so the next call with the
-    same buffers overwrites what a call returned. Without buffers a call
-    uses a fresh StepBuffers, so no later call touches its results.
-    One train_epoch call owns one; it is not shared between threads.
+    Forward, backward, penalty and the optimize update rules write their
+    layer arrays, masks, deltas, gradients and scratch vectors here, so
+    the next call with the same buffers overwrites what a call returned.
+    Without buffers a call uses a fresh StepBuffers, so no later call
+    touches its results. One train_epoch or predict call owns one; it is
+    not shared between threads.
     """
 
     def __init__(self):
         self._kept = {}
 
     def array(self, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        key = (name, shape, dtype)
-        arr = self._kept.get(key)
-        if arr is None:
-            arr = self._kept[key] = np.empty(shape, dtype)
-        return arr
+        """A C-contiguous view of the first prod(shape) items kept for name.
+
+        Each (name, dtype) keeps one flat array, replaced by a larger one
+        when a larger shape is asked for, so an epoch's short last batch
+        and predict's smaller blocks reuse the arrays of a larger one.
+        """
+        size = math.prod(shape)
+        key = (name, dtype)
+        flat = self._kept.get(key)
+        if flat is None or flat.size < size:
+            flat = self._kept[key] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
 
     def gradients(self, net: Network) -> GradientSet:
         key = ("gradients", net.layout)
@@ -313,7 +320,7 @@ def forward(
     for li, spec in enumerate(net.layers):
         shape = (x.shape[0], spec.out_dim)
         w = net.weights[li]
-        z = buffers.array(("z", li), shape) if mode == "train" else np.empty(shape)
+        z = buffers.array(("z", li), shape)
         if spec.out_dim == 1:
             # einsum's row dot products round the same at any BLAS thread
             # count; OpenBLAS's threaded matrix-vector product does not.
@@ -457,9 +464,13 @@ def backward(
             dw += scratch
         np.sum(grad, axis=0, out=grads.dbiases[li])
         if li > 0:
-            grad = np.matmul(
-                grad, w.T, out=buffers.array(("grad", li - 1), (n, spec.in_dim))
-            )
+            out = buffers.array(("grad", li - 1), (n, spec.in_dim))
+            if spec.out_dim == 1:
+                # A one-column product is an outer product: each element
+                # is one exact product, which a k=1 matmul only slows down.
+                grad = np.multiply(grad, w.T, out=out)
+            else:
+                grad = np.matmul(grad, w.T, out=out)
     return grads, base + penalty(net, reg, buffers)
 
 
@@ -470,15 +481,18 @@ def predict(net: Network, x: np.ndarray) -> np.ndarray:
     the hidden-layer activations held at once stay a few MB whatever the
     row count. No block has one row unless x does: numpy sends a one-row
     product to BLAS's matrix-vector routine, which rounds differently
-    from the matrix product, so the bits equal one forward over x.
+    from the matrix product, so the bits equal one forward over x. The
+    blocks are cut from the end, so the first is a largest one and every
+    block writes its layer arrays into the first block's buffers.
     """
     x = _check_input(net, x)
     n = x.shape[0]
     pred = np.empty(n, dtype=np.float64)
     blocks = -(-n // INFERENCE_BLOCK_ROWS)
-    for i in range(blocks):
-        rows = slice(i * n // blocks, (i + 1) * n // blocks)
-        pred[rows], _ = forward(net, x[rows], mode="inference")
+    buffers = StepBuffers()
+    for j in range(blocks, 0, -1):
+        rows = slice(n - j * n // blocks, n - (j - 1) * n // blocks)
+        pred[rows], _ = forward(net, x[rows], mode="inference", buffers=buffers)
     return pred
 
 

@@ -1,6 +1,7 @@
 """Tests for CSV handling, normalization, splits, folds and batching."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,22 @@ class TestLoadCsv:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "missing.csv")
+
+    def test_parsed_values_are_held_as_float64(self, tmp_path):
+        # Five Python floats in a list take 5 * 32 bytes a row; the
+        # loader holds its values as raw float64 until the columns are
+        # built, so its peak stays below three float64 copies of them.
+        n = 20_000
+        path = tmp_path / "big.csv"
+        write_csv(make_dataset(n), path)
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == n
+        assert peak < 3 * 8 * 5 * n
 
 
 class TestLoadFeaturesCsv:

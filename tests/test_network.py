@@ -184,10 +184,26 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(blocked, whole)
         # Two 128 x 256 float64 activations are 0.5 MB; one whole-batch
         # activation is 8 MB.
         assert peak < 2 * 2**20
+
+    def test_every_block_shares_one_buffer_set(self, monkeypatch):
+        seen = []
+        real = network.forward
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("buffers"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(network, "forward", spy)
+        monkeypatch.setattr(network, "INFERENCE_BLOCK_ROWS", 128)
+        net = init_network(make_specs(2, 8, 0.0), seed=3)
+        predict(net, make_rng(1).normal(size=(4000, 3)))
+        assert len(seen) == 32
+        assert isinstance(seen[0], network.StepBuffers)
+        assert all(b is seen[0] for b in seen)
 
     @pytest.mark.parametrize("rows", [4500, 16385])
     @pytest.mark.parametrize("block_rows", [128, network.INFERENCE_BLOCK_ROWS])

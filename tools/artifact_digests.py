@@ -13,13 +13,15 @@ discharge pulse; `train` with both presets (paper-2h also with
 --emit-gnuplot), sgd, rmsprop, --l1/--l2, dropout with --loss mae, and
 --no-shuffle; `crossval --k 4` with --jobs 1 and 2;
 `predict` on the labeled cycle and on a four-column feature CSV made by
-dropping its soc_pct column; and `evaluate`. It prints one
+dropping its soc_pct column; and `evaluate`. It also runs `gen-data`,
+`predict` and `evaluate` on a 16385-row cycle, which `predict` cuts into
+three unequal inference blocks that share one set of buffers. It prints one
 `sha256  name` line per output file and per stdout, sorted by name.
 Every command runs in the same temporary directory with bare relative
 file names, because the model's meta and the gen-data and predict
 stdout echo the paths they were given. A command that exits non-zero
-stops the script with its stderr. One run takes about half a
-minute on a 2-CPU machine.
+stops the script with its stderr. One run takes about 40 s on a
+2-CPU machine.
 """
 
 import argparse
@@ -34,6 +36,7 @@ SEEDS = (0, 1, 2)
 EPOCHS = 3
 CYCLE_SECONDS = 8000  # gen-data writes one row per second
 SHORT_CYCLE_SECONDS = 120  # under 150 steps, so the cycle has no discharge pulse
+BLOCKS_CYCLE_SECONDS = 16385  # 5462, 5462 and 5461 rows in 8192-row-max blocks
 
 # name -> extra train flags. Every run also writes a model, a history and
 # its test split.
@@ -89,6 +92,13 @@ def run_seed(src: Path, workdir: Path, seed: int) -> None:
         f"{s}-predict-features.stdout")
     run(src, workdir, ["evaluate", "--model", model, "--data", f"{s}-train-2h-test.csv"],
         f"{s}-evaluate.stdout")
+    run(src, workdir, ["gen-data", "--out", f"{s}-cycle-blocks.csv", "--seed", str(seed),
+                       "--duration", str(BLOCKS_CYCLE_SECONDS)],
+        f"{s}-gen-data-blocks.stdout")
+    run(src, workdir, ["predict", "--model", model, "--data", f"{s}-cycle-blocks.csv",
+                       "--out", f"{s}-predictions-blocks.csv"], f"{s}-predict-blocks.stdout")
+    run(src, workdir, ["evaluate", "--model", model, "--data", f"{s}-cycle-blocks.csv"],
+        f"{s}-evaluate-blocks.stdout")
 
 
 def main(argv=None) -> int:
