@@ -12,6 +12,7 @@ in percentage points.
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -35,6 +36,8 @@ _FEATURE_HEADERS = {CSV_HEADER: 5, FEATURES_HEADER: 4}
 # survives the round trip essentially intact.
 _ROW_FMT = "%.3f,%.2f,%.3f,%.2f,%.6f\n"
 _PREDICTION_FMT = "%.3f,%.6f\n"
+# Rows write_table formats per write call.
+_TABLE_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,12 +208,21 @@ def _first_value_fault(columns: np.ndarray, require_soc: bool) -> DataError | No
 def write_table(path, header: str, row_fmt: str, columns) -> None:
     """Write the header line, then row_fmt % row for each row of the columns.
 
-    Cells reach row_fmt as Python scalars, so %r prints repr(float).
+    Columns of unequal length raise ShapeError before the file is opened.
+    Rows are formatted _TABLE_CHUNK_ROWS at a time, so the Python objects
+    held at once stay bounded whatever the row count. Cells reach row_fmt
+    as Python scalars, so %r prints repr(float).
     """
+    columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ShapeError(f"table columns have unequal lengths {lengths}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        rows = zip(*(np.asarray(c).tolist() for c in columns))
-        fh.writelines(row_fmt % row for row in rows)
+        for start in range(0, lengths[0], _TABLE_CHUNK_ROWS):
+            part = [c[start : start + _TABLE_CHUNK_ROWS].tolist() for c in columns]
+            cells = tuple(chain.from_iterable(zip(*part)))
+            fh.write(row_fmt * len(part[0]) % cells)
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -219,10 +231,6 @@ def write_csv(dataset: Dataset, path) -> None:
 
 
 def write_predictions_csv(times: np.ndarray, soc_pred: np.ndarray, path) -> None:
-    if len(times) != len(soc_pred):
-        raise ShapeError(
-            f"times ({len(times)},) and predictions ({len(soc_pred)},) differ"
-        )
     write_table(path, PREDICTION_HEADER, _PREDICTION_FMT, (times, soc_pred))
 
 
@@ -262,7 +270,11 @@ def normalize_features(norm: Normalizer, x: np.ndarray) -> np.ndarray:
             f"feature matrix {x.shape} does not match normalizer "
             f"({norm.mean.shape[0]} features)"
         )
-    return (x - norm.mean) / norm.std
+    # One output array, divided in place: the same operations, and so the
+    # same bits, as (x - mean) / std.
+    out = np.subtract(x, norm.mean)
+    out /= norm.std
+    return out
 
 
 def apply_normalizer(norm: Normalizer, dataset: Dataset) -> np.ndarray:

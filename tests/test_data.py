@@ -8,6 +8,8 @@ import pytest
 from conftest import dataset_from_rows, rows_of
 
 from socdfn.data import (
+    _PREDICTION_FMT,
+    _ROW_FMT,
     CSV_HEADER,
     FEATURES_HEADER,
     Dataset,
@@ -24,6 +26,7 @@ from socdfn.data import (
     split_holdout,
     write_csv,
     write_predictions_csv,
+    write_table,
 )
 from socdfn.errors import (
     ConfigError,
@@ -280,6 +283,54 @@ class TestCsvRoundTrip:
             )
 
 
+def reference_table(header, row_fmt, columns):
+    """The row-by-row writer that write_table must match byte for byte."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return (header + "\n" + "".join(row_fmt % row for row in rows)).encode("utf-8")
+
+
+def table_columns(kind, n):
+    rng = np.random.default_rng(n)
+    floats = [rng.normal(scale=50.0, size=n) for _ in range(5)]
+    if kind == "csv":
+        return _ROW_FMT, floats
+    if kind == "predictions":
+        return _PREDICTION_FMT, floats[:2]
+    if kind == "history":
+        return "%d,%r,%r,%r,%r\n", [range(1, n + 1), *floats[:4]]
+    labels = [str(i) for i in range(n)]
+    return "%s,%r,%r\n", [labels, *floats[:2]]
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8195])
+    @pytest.mark.parametrize("kind", ["csv", "predictions", "history", "cv"])
+    def test_matches_row_by_row_writer(self, tmp_path, kind, rows):
+        row_fmt, columns = table_columns(kind, rows)
+        path = tmp_path / "t.csv"
+        write_table(path, "h", row_fmt, columns)
+        assert path.read_bytes() == reference_table("h", row_fmt, columns)
+
+    def test_unequal_columns_rejected_before_any_write(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ShapeError, match="unequal"):
+            write_table(path, "h", "%r,%r\n", (np.zeros(3), np.zeros(4)))
+        assert not path.exists()
+
+    def test_predictions_write_holds_a_bounded_chunk(self, tmp_path):
+        n = 200_000
+        times = np.arange(n, dtype=np.float64)
+        soc = np.linspace(100.0, 0.0, n)
+        tracemalloc.start()
+        try:
+            write_predictions_csv(times, soc, tmp_path / "p.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # All 400k cells as Python floats at once would be over 12 MB.
+        assert peak < 2 * 2**20
+
+
 class TestMatrices:
     def test_feature_order(self):
         ds = dataset_from_rows([(0.0, 4.0, -1.0, 30.0, 80.0)])
@@ -375,6 +426,15 @@ class TestNormalizer:
         norm = fit_normalizer(ds)
         with pytest.raises(ShapeError):
             normalize_features(norm, np.zeros((4, 2)))
+
+    def test_input_is_left_unchanged(self):
+        ds = make_dataset(10)
+        norm = fit_normalizer(ds)
+        x = feature_matrix(ds)
+        before = x.copy()
+        z = normalize_features(norm, x)
+        np.testing.assert_array_equal(x, before)
+        np.testing.assert_array_equal(z, (before - norm.mean) / norm.std)
 
 
 class TestSplitHoldout:

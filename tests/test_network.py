@@ -189,6 +189,19 @@ class TestForward:
         # activation is 8 MB.
         assert peak < 2 * 2**20
 
+    def test_default_blocks_hold_little_memory(self):
+        net = init_network(make_specs(2, 256, 0.0), seed=3)
+        x = make_rng(1).normal(size=(20_000, 3))
+        tracemalloc.start()
+        try:
+            predict(net, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two 1024 x 256 float64 layer arrays are 4 MB; two 8192-row
+        # ones would be 32 MB.
+        assert peak < 6 * 2**20
+
     def test_every_block_shares_one_buffer_set(self, monkeypatch):
         seen = []
         real = network.forward
@@ -206,7 +219,7 @@ class TestForward:
         assert all(b is seen[0] for b in seen)
 
     @pytest.mark.parametrize("rows", [4500, 16385])
-    @pytest.mark.parametrize("block_rows", [128, network.INFERENCE_BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows", [128, 8192, network.INFERENCE_BLOCK_ROWS])
     def test_blocked_predict_equals_whole_forward(self, monkeypatch, rows, block_rows):
         # 16385 rows in 8192-row blocks would leave a one-row block.
         net = init_network(make_specs(2, 256, 0.0), seed=3)

@@ -15,8 +15,9 @@ discharge pulse; `train` with both presets (paper-2h also with
 `predict` on the labeled cycle and on a four-column feature CSV made by
 dropping its soc_pct column; and `evaluate`. It also runs `gen-data`,
 `predict` and `evaluate` on a 16385-row cycle, which `predict` cuts into
-three unequal inference blocks that share one set of buffers. It prints one
-`sha256  name` line per output file and per stdout, sorted by name.
+17 unequal inference blocks of 963-964 rows that share one set of
+buffers. It prints one `sha256  name` line per output file and per
+stdout, sorted by name.
 Every command runs in the same temporary directory with bare relative
 file names, because the model's meta and the gen-data and predict
 stdout echo the paths they were given. A command that exits non-zero
@@ -36,7 +37,7 @@ SEEDS = (0, 1, 2)
 EPOCHS = 3
 CYCLE_SECONDS = 8000  # gen-data writes one row per second
 SHORT_CYCLE_SECONDS = 120  # under 150 steps, so the cycle has no discharge pulse
-BLOCKS_CYCLE_SECONDS = 16385  # 5462, 5462 and 5461 rows in 8192-row-max blocks
+BLOCKS_CYCLE_SECONDS = 16385  # 17 blocks of 963-964 rows in 1024-row-max blocks
 
 # name -> extra train flags. Every run also writes a model, a history and
 # its test split.
