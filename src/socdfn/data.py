@@ -95,12 +95,6 @@ class FoldAssignment:
     fold_of: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class Batch:
-    x: np.ndarray
-    y: np.ndarray
-
-
 def load_csv(path) -> Dataset:
     """Read a full drive-cycle CSV; every row must carry an SOC label.
 
@@ -384,7 +378,7 @@ def batch_iter(
     batch_size: int,
     shuffle_seed: int | None = None,
 ):
-    """Yield Batch objects covering every row exactly once.
+    """Yield (x, y) batches covering every row exactly once.
 
     The final batch may be smaller. With shuffle_seed=None rows keep
     their input order; otherwise the order is a seeded permutation.
@@ -403,4 +397,4 @@ def batch_iter(
         order = make_rng(shuffle_seed).permutation(n)
     for start in range(0, n, batch_size):
         sel = order[start : start + batch_size]
-        yield Batch(x=x[sel], y=y[sel])
+        yield x[sel], y[sel]

@@ -123,9 +123,6 @@ class Network:
     def in_dim(self) -> int:
         return self.layers[0].in_dim
 
-    def parameter_count(self) -> int:
-        return self.flat.size
-
 
 @dataclass(eq=False)
 class GradientSet:
@@ -160,18 +157,6 @@ class GradientSet:
         )
 
 
-def flat_views(layout) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """A new zeroed float64 vector and one view of it per shape in layout."""
-    flat = np.zeros(sum(math.prod(shape) for shape in layout))
-    views = []
-    start = 0
-    for shape in layout:
-        stop = start + math.prod(shape)
-        views.append(flat[start:stop].reshape(shape))
-        start = stop
-    return flat, tuple(views)
-
-
 def _pack(weights, biases):
     """Copy per-layer weights and biases into one new flat vector.
 
@@ -180,10 +165,15 @@ def _pack(weights, biases):
     """
     arrays = [a for pair in zip(weights, biases) for a in pair]
     layout = tuple(np.shape(a) for a in arrays)
-    flat, views = flat_views(layout)
-    for view, a in zip(views, arrays):
-        view[...] = a
-    return flat, layout, views[0::2], views[1::2]
+    flat = np.zeros(sum(math.prod(shape) for shape in layout))
+    views = []
+    start = 0
+    for shape, a in zip(layout, arrays):
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        views[-1][...] = a
+        start = stop
+    return flat, layout, tuple(views[0::2]), tuple(views[1::2])
 
 
 @dataclass(eq=False)
@@ -374,10 +364,6 @@ def data_loss(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
     if kind == "mse":
         return float(np.mean(diff * diff))
     return float(np.mean(np.abs(diff)))
-
-
-def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
-    return data_loss(pred, target, "mse")
 
 
 def loss_mae(pred: np.ndarray, target: np.ndarray) -> float:

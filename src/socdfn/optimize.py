@@ -1,8 +1,9 @@
 """Parameter update rules: plain SGD, RMSProp, and Adam.
 
-Each rule keeps explicit state and updates the network's flat parameter
-vector in place, as a few whole-vector ufunc calls into two scratch
-vectors kept in a StepBuffers, and bumps the network version counter
+Every rule takes (state, net, grads, cfg, buffers=None) and returns
+(net, state). It updates the network's flat parameter vector in place,
+as a few whole-vector ufunc calls into two scratch vectors kept in a
+StepBuffers, bumps state.step, and bumps the network version counter
 so stale forward caches are refused. The element-wise operations run
 in the order each rule's formula is written, so every result is the
 same bits as a per-array update. Defaults follow common practice:
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .network import GradientSet, Network, StepBuffers, flat_views
+from .network import GradientSet, Network, StepBuffers
 
 OPTIMIZER_KINDS = ("sgd", "rmsprop", "adam")
 
@@ -57,24 +58,16 @@ class OptimizerConfig:
 class OptimizerState:
     """Step count and moment vectors for the update rules.
 
-    The moments `m` and `v` are flat vectors laid out like Network.flat;
-    first_moment/second_moment are their per-array views (W0, b0, W1,
-    b1, ...).
+    The moments `m` and `v` are flat vectors laid out like Network.flat.
     """
 
     step: int
     m: np.ndarray
     v: np.ndarray
-    first_moment: tuple[np.ndarray, ...]
-    second_moment: tuple[np.ndarray, ...]
 
 
 def init_state(net: Network) -> OptimizerState:
-    m, first_moment = flat_views(net.layout)
-    v, second_moment = flat_views(net.layout)
-    return OptimizerState(
-        step=0, m=m, v=v, first_moment=first_moment, second_moment=second_moment
-    )
+    return OptimizerState(step=0, m=np.zeros_like(net.flat), v=np.zeros_like(net.flat))
 
 
 def _operands(net: Network, grads: GradientSet, buffers: StepBuffers | None):
@@ -89,16 +82,18 @@ def _operands(net: Network, grads: GradientSet, buffers: StepBuffers | None):
 
 
 def sgd_step(
+    state: OptimizerState,
     net: Network,
     grads: GradientSet,
     cfg: OptimizerConfig,
     buffers: StepBuffers | None = None,
-) -> Network:
-    """w <- w - lr * g for every parameter."""
+) -> tuple[Network, OptimizerState]:
+    """w <- w - lr * g for every parameter; the moments are not used."""
     g, s, _ = _operands(net, grads, buffers)
     net.flat -= np.multiply(cfg.learning_rate, g, out=s)
+    state.step += 1
     net.version += 1
-    return net
+    return net, state
 
 
 def rmsprop_step(
@@ -158,6 +153,9 @@ def adam_step(
     return net, state
 
 
+_RULES = {"sgd": sgd_step, "rmsprop": rmsprop_step, "adam": adam_step}
+
+
 def apply_update(
     state: OptimizerState,
     net: Network,
@@ -170,10 +168,4 @@ def apply_update(
     Raises ShapeError when the gradient layout differs from the
     network's.
     """
-    if cfg.kind == "sgd":
-        net = sgd_step(net, grads, cfg, buffers)
-        state.step += 1
-        return net, state
-    if cfg.kind == "rmsprop":
-        return rmsprop_step(state, net, grads, cfg, buffers)
-    return adam_step(state, net, grads, cfg, buffers)
+    return _RULES[cfg.kind](state, net, grads, cfg, buffers)

@@ -29,6 +29,7 @@ from .data import (
 )
 from .errors import ConfigError, NumericError
 from .network import (
+    LOSS_KINDS,
     Network,
     RegConfig,
     StepBuffers,
@@ -59,6 +60,10 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.loss not in LOSS_KINDS:
+            raise ConfigError(
+                f"unknown loss {self.loss!r}, expected one of {LOSS_KINDS}"
+            )
         check_seed(self.shuffle_seed)
 
 
@@ -81,13 +86,6 @@ class RunHistory:
     def final(self) -> EpochMetrics:
         return self.epochs[-1]
 
-    def val_mae_curve(self) -> np.ndarray:
-        return np.array([e.val_mae for e in self.epochs])
-
-    def gap_curve(self) -> np.ndarray:
-        """Per-epoch generalization gap, val_mae - train_mae."""
-        return np.array([e.val_mae - e.train_mae for e in self.epochs])
-
     def best_val_mae(self) -> float:
         return float(min(e.val_mae for e in self.epochs))
 
@@ -100,9 +98,6 @@ class CVReport:
     per_fold_best_val_mae: tuple[float, ...]
     mean_val_mae: float
     std_val_mae: float
-
-
-mae = loss_mae
 
 
 def _check_finite(value: float, what: str) -> float:
@@ -121,7 +116,7 @@ def train_epoch(
 ) -> tuple[Network, OptimizerState, EpochMetrics]:
     """One pass over all batches; returns size-weighted train metrics.
 
-    Batch order and dropout masks come from the (shuffle_seed,
+    The batch order and dropout masks come from the (shuffle_seed,
     "shuffle", epoch) and (shuffle_seed, "dropout", epoch) streams, so
     an epoch's streams do not depend on the epoch count. Every
     batch's forward, backward and update reuse the arrays of one
@@ -134,17 +129,15 @@ def train_epoch(
     epoch_seed = derive_seed(cfg.shuffle_seed, "shuffle", epoch)
     loss_sum = 0.0
     mae_sum = 0.0
-    for batch in batch_iter(x, y, cfg.batch_size, shuffle_seed=epoch_seed):
+    for xb, yb in batch_iter(x, y, cfg.batch_size, shuffle_seed=epoch_seed):
         _, cache = forward(
-            net, batch.x, mode="train", dropout_rng=dropout_rng, buffers=buffers
+            net, xb, mode="train", dropout_rng=dropout_rng, buffers=buffers
         )
-        grads, objective = backward(
-            net, cache, batch.y, cfg.reg, cfg.loss, buffers=buffers
-        )
+        grads, objective = backward(net, cache, yb, cfg.reg, cfg.loss, buffers=buffers)
         _check_finite(objective, "training loss")
-        b = batch.x.shape[0]
+        b = xb.shape[0]
         loss_sum += objective * b
-        mae_sum += loss_mae(cache.pred, batch.y) * b
+        mae_sum += loss_mae(cache.pred, yb) * b
         net, opt_state = apply_update(
             opt_state, net, grads, cfg.optimizer, buffers=buffers
         )

@@ -721,6 +721,38 @@ def test_split_and_fold_flags_are_checked_before_data_is_read(tmp_path, argv):
     assert err.startswith("error: ")
 
 
+def test_readme_library_snippet_is_the_train_command(tmp_path):
+    """README's "Library use" snippet is the run of `socdfn train --seed 0`."""
+    from socdfn.data import load_csv
+    from socdfn.network import RegConfig, make_specs
+    from socdfn.optimize import OptimizerConfig
+    from socdfn.train import TrainConfig, fit_datasets, holdout
+
+    cycle = tmp_path / "cycle.csv"
+    model = tmp_path / "model.json"
+    code, _, err = run_cli(
+        ["gen-data", "--out", str(cycle), "--duration", "3000", "--seed", "0"]
+    )
+    assert code == 0, err
+    code, _, err = run_cli(["train", "--data", str(cycle), "--epochs", "2",
+                            "--seed", "0", "--model-out", str(model)])
+    assert code == 0, err
+    cli_net, cli_norm, _ = load_model(model)
+
+    dataset = load_csv(cycle)
+    assert len(dataset) == 3000
+    train, val, test = holdout(dataset, 0.8, 0.1, seed=0)
+    specs = make_specs(hidden=2, units=256, dropout=0.0)
+    cfg = TrainConfig(epochs=2, batch_size=128, optimizer=OptimizerConfig(),
+                      reg=RegConfig(), shuffle_seed=0)
+    net, norm, history = fit_datasets(specs, 0, train, val, cfg)
+
+    assert len(history) == 2
+    np.testing.assert_array_equal(net.flat, cli_net.flat)
+    np.testing.assert_array_equal(norm.mean, cli_norm.mean)
+    np.testing.assert_array_equal(norm.std, cli_norm.std)
+
+
 class TestParser:
     def test_version_flag(self):
         code, stdout, _ = run_cli(["--version"])

@@ -589,26 +589,26 @@ class TestBatchIter:
     def test_final_batch_smaller(self):
         x = np.arange(20.0).reshape(10, 2)
         y = np.arange(10.0)
-        sizes = [len(b.y) for b in batch_iter(x, y, 4)]
+        sizes = [len(yb) for _, yb in batch_iter(x, y, 4)]
         assert sizes == [4, 4, 2]
 
     def test_covers_every_row_once(self):
         x = np.arange(10.0).reshape(10, 1)
         y = np.arange(10.0)
-        seen = np.concatenate([b.y for b in batch_iter(x, y, 3, shuffle_seed=5)])
+        seen = np.concatenate([yb for _, yb in batch_iter(x, y, 3, shuffle_seed=5)])
         assert sorted(seen.tolist()) == y.tolist()
 
     def test_unshuffled_preserves_order(self):
         x = np.arange(10.0).reshape(10, 1)
         y = np.arange(10.0)
-        seen = np.concatenate([b.y for b in batch_iter(x, y, 4)])
+        seen = np.concatenate([yb for _, yb in batch_iter(x, y, 4)])
         np.testing.assert_array_equal(seen, y)
 
     def test_shuffle_is_deterministic(self):
         x = np.arange(10.0).reshape(10, 1)
         y = np.arange(10.0)
-        a = np.concatenate([b.y for b in batch_iter(x, y, 3, shuffle_seed=9)])
-        b = np.concatenate([b.y for b in batch_iter(x, y, 3, shuffle_seed=9)])
+        a = np.concatenate([yb for _, yb in batch_iter(x, y, 3, shuffle_seed=9)])
+        b = np.concatenate([yb for _, yb in batch_iter(x, y, 3, shuffle_seed=9)])
         np.testing.assert_array_equal(a, b)
 
     def test_batch_larger_than_data(self):
@@ -616,13 +616,13 @@ class TestBatchIter:
         y = np.zeros(3)
         batches = list(batch_iter(x, y, 100))
         assert len(batches) == 1
-        assert batches[0].x.shape == (3, 2)
+        assert batches[0][0].shape == (3, 2)
 
     def test_rows_stay_paired(self):
         x = np.arange(12.0).reshape(6, 2)
         y = x[:, 0] * 10.0
-        for b in batch_iter(x, y, 2, shuffle_seed=1):
-            np.testing.assert_array_equal(b.y, b.x[:, 0] * 10.0)
+        for xb, yb in batch_iter(x, y, 2, shuffle_seed=1):
+            np.testing.assert_array_equal(yb, xb[:, 0] * 10.0)
 
     def test_bad_batch_size(self):
         with pytest.raises(ConfigError):

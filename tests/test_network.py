@@ -21,7 +21,6 @@ from socdfn.network import (
     forward,
     init_network,
     loss_mae,
-    loss_mse,
     make_specs,
     penalty,
     predict,
@@ -93,10 +92,10 @@ class TestNetworkValidation:
         with pytest.raises(ConfigError):
             LayerSpec(2, 2, "tanh")
 
-    def test_parameter_count(self):
+    def test_flat_holds_every_parameter(self):
         net = init_network(make_specs(2, 4, 0.0), seed=0)
         # 3*4 + 4 + 4*4 + 4 + 4*1 + 1
-        assert net.parameter_count() == 41
+        assert net.flat.size == 41
 
 
 class TestInit:
@@ -322,10 +321,10 @@ class TestDropout:
 
 class TestLosses:
     def test_mse_zero_on_equal(self):
-        assert loss_mse(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+        assert data_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0]), "mse") == 0.0
 
     def test_mse_hand_value(self):
-        assert loss_mse(np.array([0.0, 1.0]), np.array([0.0, 3.0])) == 2.0
+        assert data_loss(np.array([0.0, 1.0]), np.array([0.0, 3.0]), "mse") == 2.0
 
     def test_mae_hand_value(self):
         assert loss_mae(np.array([0.0, 1.0]), np.array([0.0, 3.0])) == 1.0
@@ -335,7 +334,9 @@ class TestLosses:
         pred = rng.normal(size=20)
         target = rng.normal(size=20)
         by_loop = sum((t - p) ** 2 for t, p in zip(target, pred)) / 20
-        np.testing.assert_allclose(loss_mse(pred, target), by_loop, rtol=1e-14)
+        np.testing.assert_allclose(
+            data_loss(pred, target, "mse"), by_loop, rtol=1e-14
+        )
 
     def test_mae_matches_loop(self):
         rng = make_rng(6)
@@ -346,7 +347,7 @@ class TestLosses:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            loss_mse(np.zeros(3), np.zeros(4))
+            data_loss(np.zeros(3), np.zeros(4), "mse")
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):

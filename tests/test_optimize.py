@@ -83,57 +83,58 @@ class TestInitState:
         net = init_network(make_specs(2, 4, 0.0), seed=0)
         state = init_state(net)
         assert state.step == 0
-        params = []
-        for w, b in zip(net.weights, net.biases):
-            params.extend([w, b])
-        assert len(state.first_moment) == len(params)
-        for m, v, p in zip(state.first_moment, state.second_moment, params):
-            assert m.shape == p.shape
-            np.testing.assert_array_equal(m, np.zeros_like(p))
-            np.testing.assert_array_equal(v, np.zeros_like(p))
+        for moment in (state.m, state.v):
+            assert moment.shape == net.flat.shape
+            np.testing.assert_array_equal(moment, np.zeros_like(net.flat))
 
     def test_moments_are_independent_arrays(self):
         net = one_param_net()
         state = init_state(net)
-        state.first_moment[0][0, 0] = 99.0
-        assert state.second_moment[0][0, 0] == 0.0
+        state.m[0] = 99.0
+        assert state.v[0] == 0.0
 
 
 class TestSgd:
     def test_single_step_by_hand(self):
         net = one_param_net(w0=1.0)
         cfg = OptimizerConfig(kind="sgd", learning_rate=0.1)
-        sgd_step(net, grad_of(0.5, db=0.25), cfg)
+        sgd_step(init_state(net), net, grad_of(0.5, db=0.25), cfg)
         assert weight(net) == 0.95
         assert float(net.biases[0][0]) == -0.025
 
     def test_two_steps_accumulate(self):
         net = one_param_net(w0=1.0)
         cfg = OptimizerConfig(kind="sgd", learning_rate=0.1)
-        sgd_step(net, grad_of(0.5), cfg)
-        sgd_step(net, grad_of(0.5), cfg)
+        state = init_state(net)
+        sgd_step(state, net, grad_of(0.5), cfg)
+        sgd_step(state, net, grad_of(0.5), cfg)
         np.testing.assert_allclose(weight(net), 0.90, rtol=1e-15)
+        assert state.step == 2
 
     def test_zero_gradient_is_identity(self):
         net = one_param_net(w0=2.5)
-        sgd_step(net, grad_of(0.0), OptimizerConfig(kind="sgd", learning_rate=0.1))
+        cfg = OptimizerConfig(kind="sgd", learning_rate=0.1)
+        sgd_step(init_state(net), net, grad_of(0.0), cfg)
         assert weight(net) == 2.5
 
     def test_zero_lr_freezes_weights(self):
         net = one_param_net(w0=2.5)
-        sgd_step(net, grad_of(7.0), OptimizerConfig(kind="sgd", learning_rate=0.0))
+        cfg = OptimizerConfig(kind="sgd", learning_rate=0.0)
+        sgd_step(init_state(net), net, grad_of(7.0), cfg)
         assert weight(net) == 2.5
 
     def test_version_bumped(self):
         net = one_param_net()
         assert net.version == 0
-        sgd_step(net, grad_of(0.1), OptimizerConfig(kind="sgd"))
+        sgd_step(init_state(net), net, grad_of(0.1), OptimizerConfig(kind="sgd"))
         assert net.version == 1
 
     def test_updates_in_place(self):
         net = one_param_net()
-        out = sgd_step(net, grad_of(0.1), OptimizerConfig(kind="sgd"))
-        assert out is net
+        state = init_state(net)
+        out = sgd_step(state, net, grad_of(0.1), OptimizerConfig(kind="sgd"))
+        assert out[0] is net
+        assert out[1] is state
 
 
 class TestRmsprop:
@@ -159,9 +160,7 @@ class TestRmsprop:
         for g, (w_exp, v_exp) in zip([0.5, -0.25, 0.125], expect):
             rmsprop_step(state, net, grad_of(g), cfg)
             np.testing.assert_allclose(weight(net), w_exp, rtol=0.0, atol=1e-15)
-            np.testing.assert_allclose(
-                state.second_moment[0][0, 0], v_exp, rtol=0.0, atol=1e-15
-            )
+            np.testing.assert_allclose(state.v[0], v_exp, rtol=0.0, atol=1e-15)
         assert state.step == 3
 
     def test_zero_gradient_decays_accumulator_only(self):
@@ -170,12 +169,10 @@ class TestRmsprop:
         cfg = OptimizerConfig(kind="rmsprop")
         rmsprop_step(state, net, grad_of(1.0), cfg)
         w1 = weight(net)
-        v1 = float(state.second_moment[0][0, 0])
+        v1 = float(state.v[0])
         rmsprop_step(state, net, grad_of(0.0), cfg)
         assert weight(net) == w1
-        np.testing.assert_allclose(
-            state.second_moment[0][0, 0], 0.9 * v1, rtol=1e-15
-        )
+        np.testing.assert_allclose(state.v[0], 0.9 * v1, rtol=1e-15)
 
     def test_step_size_insensitive_to_gradient_scale(self):
         # The accumulator normalizes the gradient: scaling g by 100
@@ -217,12 +214,8 @@ class TestAdam:
         for g, (w_exp, m_exp, v_exp) in zip([0.5, -0.25, 0.125], expect):
             adam_step(state, net, grad_of(g), cfg)
             np.testing.assert_allclose(weight(net), w_exp, rtol=0.0, atol=1e-15)
-            np.testing.assert_allclose(
-                state.first_moment[0][0, 0], m_exp, rtol=0.0, atol=1e-15
-            )
-            np.testing.assert_allclose(
-                state.second_moment[0][0, 0], v_exp, rtol=0.0, atol=1e-15
-            )
+            np.testing.assert_allclose(state.m[0], m_exp, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(state.v[0], v_exp, rtol=0.0, atol=1e-15)
         assert state.step == 3
 
     def test_step_size_bounded_by_lr(self):
@@ -243,7 +236,7 @@ class TestAdam:
         state = init_state(net)
         adam_step(state, net, grad_of(2.0), OptimizerConfig(learning_rate=0.0))
         assert weight(net) == 4.0
-        assert state.first_moment[0][0, 0] != 0.0
+        assert state.m[0] != 0.0
         assert state.step == 1
         assert net.version == 1
 
@@ -254,8 +247,8 @@ class TestApplyUpdate:
         state = init_state(net)
         apply_update(state, net, grad_of(1.0), OptimizerConfig(kind="sgd"))
         assert state.step == 1
-        np.testing.assert_array_equal(state.first_moment[0], [[0.0]])
-        np.testing.assert_array_equal(state.second_moment[0], [[0.0]])
+        np.testing.assert_array_equal(state.m, [0.0, 0.0])
+        np.testing.assert_array_equal(state.v, [0.0, 0.0])
 
     def test_dispatch_matches_direct_calls(self):
         for kind in ("sgd", "rmsprop", "adam"):
@@ -265,13 +258,10 @@ class TestApplyUpdate:
             state_a = init_state(net_a)
             state_b = init_state(net_b)
             apply_update(state_a, net_a, grad_of(0.7), cfg)
-            if kind == "sgd":
-                sgd_step(net_b, grad_of(0.7), cfg)
-            elif kind == "rmsprop":
-                rmsprop_step(state_b, net_b, grad_of(0.7), cfg)
-            else:
-                adam_step(state_b, net_b, grad_of(0.7), cfg)
+            rule = {"sgd": sgd_step, "rmsprop": rmsprop_step, "adam": adam_step}[kind]
+            rule(state_b, net_b, grad_of(0.7), cfg)
             assert weight(net_a) == weight(net_b)
+            assert state_a.step == state_b.step == 1
 
     def test_gradient_layer_count_checked(self):
         net = init_network(make_specs(2, 4, 0.0), seed=0)
@@ -352,23 +342,25 @@ class TestFlatLayout:
             apply_update(state, net, GradientSet(dweights=dw, dbiases=db), cfg)
             reference_step(kind, cfg, ref, self.interleaved(dw, db), ref_m, ref_v, step)
         got = self.interleaved(net.weights, net.biases)
-        for a, b in zip(got + list(state.first_moment) + list(state.second_moment),
-                        ref + ref_m + ref_v):
+        for a, b in zip(got, ref):
             np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(state.m, np.concatenate(ref_m, axis=None))
+        np.testing.assert_array_equal(state.v, np.concatenate(ref_v, axis=None))
         assert state.step == 50
 
     def test_each_set_of_arrays_shares_one_buffer(self):
         net = init_network(make_specs(2, 16, 0.0), seed=4)
         grads = GradientSet.zeros_like(net)
         state = init_state(net)
+        n_params = sum(a.size for a in net.weights + net.biases)
         groups = (
             (net.flat, net.weights + net.biases),
             (grads.flat, grads.dweights + grads.dbiases),
-            (state.m, state.first_moment),
-            (state.v, state.second_moment),
+            (state.m, ()),
+            (state.v, ()),
         )
         for flat, views in groups:
-            assert flat.size == net.parameter_count()
+            assert flat.size == n_params
             assert all(np.shares_memory(flat, a) for a in views)
         flats = [flat for flat, _ in groups]
         for i, a in enumerate(flats):
@@ -385,7 +377,8 @@ class TestFlatLayout:
         )
         for caller, own in zip(w + b, net.weights + net.biases):
             assert not np.shares_memory(caller, own)
-        sgd_step(net, GradientSet(dweights=w, dbiases=b), OptimizerConfig(kind="sgd"))
+        grads = GradientSet(dweights=w, dbiases=b)
+        sgd_step(init_state(net), net, grads, OptimizerConfig(kind="sgd"))
         np.testing.assert_array_equal(w[0], np.ones((3, 2)))
         assert net.weights[0][0, 0] == 1.0 - 1e-3
 

@@ -18,6 +18,7 @@ from socdfn.network import (
     backward,
     forward,
     init_network,
+    loss_mae,
     make_specs,
     penalty,
     predict,
@@ -31,7 +32,6 @@ from socdfn.train import (
     cross_validate,
     evaluate,
     fit,
-    mae,
     train_epoch,
 )
 
@@ -94,13 +94,17 @@ class TestTrainConfig:
     def test_default_loss(self):
         assert small_cfg().loss == "mse"
 
+    def test_unknown_loss(self):
+        with pytest.raises(ConfigError, match="unknown loss 'huber'"):
+            small_cfg(loss="huber")
+
 
 class TestMae:
     def test_zero_on_equal(self):
-        assert mae(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+        assert loss_mae(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
 
     def test_hand_value(self):
-        assert mae(np.array([0.0, 4.0]), np.array([2.0, 0.0])) == 3.0
+        assert loss_mae(np.array([0.0, 4.0]), np.array([2.0, 0.0])) == 3.0
 
     def test_never_exceeds_rmse(self):
         # Jensen: mean |e| <= sqrt(mean e^2) for any error vector.
@@ -109,7 +113,7 @@ class TestMae:
             pred = rng.normal(size=50)
             target = rng.normal(size=50)
             rmse = math.sqrt(float(np.mean((pred - target) ** 2)))
-            assert mae(pred, target) <= rmse + 1e-15
+            assert loss_mae(pred, target) <= rmse + 1e-15
 
 
 class TestTrainEpoch:
@@ -307,17 +311,11 @@ class TestFit:
 
 
 class TestRunHistoryHelpers:
-    def test_curves_and_best(self):
+    def test_best_val_mae(self):
         x, y = affine_batch(100, seed=1)
         xv, yv = affine_batch(20, seed=2)
         net = init_network(make_specs(1, 8, 0.0), seed=3)
         _, hist = fit(net, x, y, xv, yv, small_cfg(epochs=4))
-        assert hist.val_mae_curve().shape == (4,)
-        np.testing.assert_allclose(
-            hist.gap_curve(),
-            [e.val_mae - e.train_mae for e in hist.epochs],
-            rtol=1e-15,
-        )
         assert hist.best_val_mae() == min(e.val_mae for e in hist.epochs)
 
 
