@@ -28,6 +28,9 @@ REGEN_PEAK_FRACTION = 0.5
 # The smallest float that the CSV's 10 mV voltage column prints as 0.01
 # rather than 0.00; load_csv refuses a voltage that is not positive.
 MIN_WRITTEN_VOLTAGE_V = 0.005
+# Steps per slice of a first-order lag: a slice is stepped as a list of
+# Python floats, so no list holds a whole cycle.
+LAG_CHUNK_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,21 @@ def generate_drive_cycle(cfg: CycleConfig) -> np.ndarray:
     return np.clip(current, -peak, REGEN_PEAK_FRACTION * peak)
 
 
+def _first_order_lag(target: np.ndarray, alpha: float, start: float) -> np.ndarray:
+    """y[k] = y[k-1] + alpha * (target[k] - y[k-1]), with y[-1] = start.
+
+    Each step feeds the next, so the recurrence runs in Python floats,
+    LAG_CHUNK_STEPS targets at a time; the result has the bits of a
+    plain one-step-at-a-time loop.
+    """
+    out = np.empty(len(target))
+    y = start
+    for lo in range(0, len(target), LAG_CHUNK_STEPS):
+        chunk = target[lo : lo + LAG_CHUNK_STEPS].tolist()
+        out[lo : lo + len(chunk)] = [y := y + alpha * (t - y) for t in chunk]
+    return out
+
+
 def simulate_cell(
     profile: np.ndarray, params: CellParams, soc0_pct: float, dt_s: float
 ) -> Dataset:
@@ -177,16 +195,10 @@ def simulate_cell(
             params.ambient_c
             + params.heat_coeff_k_per_w * current * current * params.r_internal_ohm
         )
-    # The thermal lag feeds each step's temperature into the next.
-    alpha = dt_s / params.thermal_tau_s
-    temps = []
-    temp = params.ambient_c
-    for target in heat_target.tolist():
-        temp += alpha * (target - temp)
-        temps.append(temp)
-    temps = np.array(temps)
-    ok = np.isfinite([volts, current, temps, soc]).all(axis=0)
-    ok &= volts >= MIN_WRITTEN_VOLTAGE_V
+    temps = _first_order_lag(heat_target, dt_s / params.thermal_tau_s, params.ambient_c)
+    ok = volts >= MIN_WRITTEN_VOLTAGE_V
+    for column in (volts, current, temps, soc):
+        ok &= np.isfinite(column)
     if not ok.all():
         k = int(np.argmin(ok))
         v, i, temp = (float(c[k]) for c in (volts, current, temps))

@@ -125,7 +125,8 @@ def _read_columns(path, require_soc: bool) -> np.ndarray:
     headers = _LABELED_HEADERS if require_soc else _FEATURE_HEADERS
     flat = array("d")
     fault = None
-    with open(path, encoding="utf-8") as fh:
+    # A byte that is not UTF-8 reads as U+FFFD, so its token fails to parse.
+    with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().rstrip("\r\n")
         if header not in headers:
             expected = " or ".join(map(repr, headers))

@@ -9,6 +9,9 @@ plus L1/L2 penalties on weights only; biases are never penalized and the
 L1 subgradient at exactly zero is taken as zero.
 """
 
+# Keeps forward's np.random.Generator annotation from loading numpy.random.
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, field
 

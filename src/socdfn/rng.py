@@ -8,6 +8,10 @@ a stream. PCG64 is the single generator family used; do not mix in other
 bit generators.
 """
 
+# Annotations stay unevaluated, so importing this module does not load
+# numpy.random; a process loads it on its first draw.
+from __future__ import annotations
+
 import numpy as np
 
 from .errors import ConfigError

@@ -5,13 +5,17 @@ The Coulomb-counting checks recompute the SOC integral independently
 agreement is evidence, not tautology.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from socdfn.battsim import (
+    LAG_CHUNK_STEPS,
     REGEN_PEAK_FRACTION,
     CellParams,
     CycleConfig,
+    _first_order_lag,
     generate_drive_cycle,
     simulate_cell,
     synth_dataset,
@@ -228,6 +232,21 @@ class TestSimulateCell:
             simulate_cell(np.zeros(3), CellParams(), 50.0, 0.0)
 
 
+class TestFirstOrderLag:
+    @pytest.mark.parametrize("n", [
+        1, LAG_CHUNK_STEPS - 1, LAG_CHUNK_STEPS, LAG_CHUNK_STEPS + 1,
+        2 * LAG_CHUNK_STEPS + 1,
+    ])
+    def test_matches_scalar_loop_bit_for_bit(self, n):
+        target = 25.0 + 10.0 * np.random.default_rng(n).random(n)
+        alpha, y = 1.0 / 120.0, 25.0
+        expect = []
+        for value in target:
+            y += alpha * (float(value) - y)
+            expect.append(y)
+        np.testing.assert_array_equal(_first_order_lag(target, alpha, 25.0), expect)
+
+
 class TestSynthDataset:
     def test_end_to_end_conserves_charge(self):
         cell = CellParams()
@@ -237,6 +256,21 @@ class TestSynthDataset:
         oracle = np.clip(soc_oracle(profile, cell.capacity_ah, 95.0, 1.0), 0.0, 100.0)
         labels = ds.soc
         np.testing.assert_allclose(labels, oracle[: len(labels)], atol=1e-9)
+
+    def test_long_cycle_holds_no_whole_cycle_of_python_floats(self):
+        # A 200k-step cycle's float64 columns take 1.6 MB each. Two lists
+        # of 200k Python floats (about 6.4 MB each) or a 4 x n isfinite
+        # stack would push the peak past the bound.
+        cycle = CycleConfig(duration_s=200_000.0, seed=0)
+        cell = CellParams(capacity_ah=29.0)
+        tracemalloc.start()
+        try:
+            ds = synth_dataset(cell, cycle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 200_000
+        assert peak < 20e6
 
     def test_rows_pass_csv_validation(self, tmp_path):
         from socdfn.data import load_csv, write_csv

@@ -511,6 +511,36 @@ def test_overflow_reports_error_without_numpy_warnings(trained, tmp_path, comman
     assert "RuntimeWarning" not in proc.stderr
 
 
+NO_DRAW_CHILD = """
+import sys
+from socdfn.cli import main
+model, data, out = sys.argv[1:]
+assert main(["predict", "--model", model, "--data", data, "--out", out]) == 0
+assert main(["evaluate", "--model", model, "--data", data]) == 0
+assert "numpy.random" not in sys.modules, "numpy.random was loaded"
+"""
+
+
+def test_predict_and_evaluate_do_not_load_numpy_random(trained, tmp_path):
+    # Neither command draws a random number, so neither pays for loading
+    # numpy.random (about 6 MB of peak RSS). The model comes from the
+    # train fixture, which draws, so it is built in another process.
+    env = dict(os.environ, PYTHONPATH=str(Path(socdfn.__file__).parents[1]))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import numpy, sys; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    if probe.stdout.strip() == "True":
+        pytest.skip("this numpy loads numpy.random on import numpy")
+    model, test_csv = trained
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_DRAW_CHILD, str(model), str(test_csv),
+         str(tmp_path / "predictions.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("command", ["train", "crossval-jobs1", "crossval-jobs2"])
 def test_divergence_reports_error_without_numpy_warnings(cycle_csv, command):
     # A separate interpreter with Python's default warning filters, as
@@ -587,7 +617,8 @@ def test_bad_flag_value_is_exit_2(cycle_csv, tmp_path, command, flag, value):
 
 # (subcommand, flag, case): the case's path replaces that flag's value.
 # A missing file or a directory as input, and an output inside a missing
-# directory, are I/O errors (exit 3); a bad CSV header is exit 4.
+# directory, are I/O errors (exit 3); a bad CSV header, or a data line
+# holding a byte that is not UTF-8, is exit 4.
 BAD_PATHS = [
     ("gen-data", "--out", "in-missing-dir"),
     *(("train", "--data", case) for case in ("missing", "directory", "bad-header")),
@@ -597,9 +628,13 @@ BAD_PATHS = [
     *(("crossval", "--data", case) for case in ("missing", "directory", "bad-header")),
     ("crossval", "--report-out", "in-missing-dir"),
     *(("evaluate", "--model", case) for case in ("missing", "directory")),
-    *(("evaluate", "--data", case) for case in ("missing", "directory", "bad-header")),
+    *(("evaluate", "--data", case) for case in (
+        "missing", "directory", "bad-header", "not-utf8"
+    )),
     *(("predict", "--model", case) for case in ("missing", "directory")),
-    *(("predict", "--data", case) for case in ("missing", "directory", "bad-header")),
+    *(("predict", "--data", case) for case in (
+        "missing", "directory", "bad-header", "not-utf8"
+    )),
     ("predict", "--out", "in-missing-dir"),
 ]
 
@@ -616,6 +651,9 @@ def test_bad_path_is_error_without_output(
     model, _ = trained
     (tmp_path / "a-dir").mkdir()
     (tmp_path / "bad.csv").write_text("time,v,i,temp,soc\n0,4.2,0,25,50\n")
+    (tmp_path / "not-utf8.csv").write_bytes(
+        CSV_HEADER.encode() + b"\n1,3.7,-1,25,50\n2,3.7\xff,-1,25,50\n"
+    )
     before = sorted(tmp_path.rglob("*"))
     tiny = {"--hidden": "1", "--units": "4", "--epochs": "1"}
     args = {
@@ -630,6 +668,7 @@ def test_bad_path_is_error_without_output(
         "directory": "a-dir",
         "in-missing-dir": str(Path("no-such-dir", "out.csv")),
         "bad-header": "bad.csv",
+        "not-utf8": "not-utf8.csv",
     }[case]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(Path(socdfn.__file__).parents[1])
@@ -638,7 +677,7 @@ def test_bad_path_is_error_without_output(
         [sys.executable, "-m", "socdfn.cli", *argv],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
-    assert proc.returncode == (4 if case == "bad-header" else 3), proc.stderr
+    assert proc.returncode == (4 if case in ("bad-header", "not-utf8") else 3), proc.stderr
     assert re.search(r"^error: ", proc.stderr, re.MULTILINE)
     assert "Traceback" not in proc.stderr
     assert sorted(tmp_path.rglob("*")) == before

@@ -243,6 +243,22 @@ def test_first_bad_line_is_reported(tmp_path, loader, header, bad_row, message):
         loader(path)
 
 
+@pytest.mark.parametrize("loader, header, row", [
+    (load_csv, CSV_HEADER, b"1,3.7\xff,-1,25,50"),
+    (load_features_csv, FEATURES_HEADER, b"1,3.7\xff,-1,25"),
+], ids=["load_csv", "load_features_csv"])
+def test_byte_that_is_not_utf8_makes_its_line_bad(tmp_path, loader, header, row):
+    good = row.replace(b"\xff", b"")
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"\n".join([header.encode(), good, row, good]) + b"\n")
+    with pytest.raises(DataError) as info:
+        loader(path)
+    assert str(info.value) == "line 3: cannot parse '3.7\ufffd' as a number"
+    path.write_bytes(b"\n".join([header.encode().replace(b"_v", b"\xff_v"), good]) + b"\n")
+    with pytest.raises(DataError, match=r"^line 1: bad header 't_s,voltage\ufffd_v,"):
+        loader(path)
+
+
 class TestCsvRoundTrip:
     def test_written_values_reload_exactly(self, tmp_path):
         ds = make_dataset(50, seed=3)

@@ -16,8 +16,10 @@ discharge pulse; `train` with both presets (paper-2h also with
 dropping its soc_pct column; and `evaluate`. It also runs `gen-data`,
 `predict` and `evaluate` on a 16385-row cycle, which `predict` cuts into
 17 unequal inference blocks of 963-964 rows that share one set of
-buffers. It prints one `sha256  name` line per output file and per
-stdout, sorted by name.
+buffers. That cycle is 4 x 4096 + 1 steps, so `gen-data` steps its
+thermal lag as four full `battsim.LAG_CHUNK_STEPS` chunks and a last
+chunk of one step. It prints one `sha256  name` line per output file
+and per stdout, sorted by name.
 Every command runs in the same temporary directory with bare relative
 file names, because the model's meta and the gen-data and predict
 stdout echo the paths they were given. A command that exits non-zero
@@ -37,7 +39,9 @@ SEEDS = (0, 1, 2)
 EPOCHS = 3
 CYCLE_SECONDS = 8000  # gen-data writes one row per second
 SHORT_CYCLE_SECONDS = 120  # under 150 steps, so the cycle has no discharge pulse
-BLOCKS_CYCLE_SECONDS = 16385  # 17 blocks of 963-964 rows in 1024-row-max blocks
+# 17 blocks of 963-964 rows in 1024-row-max inference blocks, and a
+# thermal lag of four 4096-step chunks and a one-step chunk.
+BLOCKS_CYCLE_SECONDS = 16385
 
 # name -> extra train flags. Every run also writes a model, a history and
 # its test split.
