@@ -373,16 +373,11 @@ def concat_datasets(a: Dataset, b: Dataset, name: str) -> Dataset:
     )
 
 
-def batch_iter(
-    x: np.ndarray,
-    y: np.ndarray,
-    batch_size: int,
-    shuffle_seed: int | None = None,
-):
+def batch_iter(x: np.ndarray, y: np.ndarray, batch_size: int, shuffle_seed: int):
     """Yield (x, y) batches covering every row exactly once.
 
-    The final batch may be smaller. With shuffle_seed=None rows keep
-    their input order; otherwise the order is a seeded permutation.
+    The rows come in the order of a permutation seeded by shuffle_seed;
+    the final batch may be smaller.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -390,12 +385,8 @@ def batch_iter(
         raise ShapeError(f"features {x.shape} and targets {y.shape} do not align")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    n = x.shape[0]
-    if shuffle_seed is None:
-        order = np.arange(n)
-    else:
-        check_seed(shuffle_seed)
-        order = make_rng(shuffle_seed).permutation(n)
-    for start in range(0, n, batch_size):
+    check_seed(shuffle_seed)
+    order = make_rng(shuffle_seed).permutation(x.shape[0])
+    for start in range(0, len(order), batch_size):
         sel = order[start : start + batch_size]
         yield x[sel], y[sel]

@@ -9,6 +9,7 @@ round-trip precision and byte-stable output.
 """
 
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -50,15 +51,7 @@ def save_model(net: Network, norm: Normalizer, path, meta: dict | None = None) -
     """Write the versioned JSON model document."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "layers": [
-            {
-                "in_dim": s.in_dim,
-                "out_dim": s.out_dim,
-                "activation": s.activation,
-                "dropout_after": s.dropout_after,
-            }
-            for s in net.layers
-        ],
+        "layers": [dataclasses.asdict(s) for s in net.layers],
         "weights": [_encode_array(w) for w in net.weights],
         "biases": [_encode_array(b) for b in net.biases],
         "normalizer": {

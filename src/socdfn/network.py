@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Normalizer, apply_normalizer
+from .data import FEATURE_NAMES, Dataset, Normalizer, apply_normalizer
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .rng import make_rng
 
@@ -206,18 +206,17 @@ class StepBuffers:
     def __init__(self):
         self._kept = {}
 
-    def array(self, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """A C-contiguous view of the first prod(shape) items kept for name.
+    def array(self, name, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous float64 view of the first prod(shape) items kept for name.
 
-        Each (name, dtype) keeps one flat array, replaced by a larger one
-        when a larger shape is asked for, so an epoch's short last batch
-        and predict's smaller blocks reuse the arrays of a larger one.
+        Each name keeps one flat array, replaced by a larger one when a
+        larger shape is asked for, so an epoch's short last batch and
+        predict's smaller blocks reuse the arrays of a larger one.
         """
         size = math.prod(shape)
-        key = (name, dtype)
-        flat = self._kept.get(key)
+        flat = self._kept.get(name)
         if flat is None or flat.size < size:
-            flat = self._kept[key] = np.empty(size, dtype)
+            flat = self._kept[name] = np.empty(size)
         return flat[:size].reshape(shape)
 
     def gradients(self, net: Network) -> GradientSet:
@@ -228,10 +227,8 @@ class StepBuffers:
         return grads
 
 
-def make_specs(
-    hidden: int, units: int, dropout: float, in_dim: int = 3
-) -> tuple[LayerSpec, ...]:
-    """Build a layer stack from a hidden-layer count.
+def make_specs(hidden: int, units: int, dropout: float) -> tuple[LayerSpec, ...]:
+    """Build a layer stack over the FEATURE_NAMES inputs from a hidden-layer count.
 
     The count follows the common convention of counting dropout layers:
     with dropout > 0 each pair is one dense hidden layer followed by one
@@ -250,7 +247,7 @@ def make_specs(
     else:
         n_dense = hidden
     specs = []
-    prev = in_dim
+    prev = len(FEATURE_NAMES)
     for _ in range(n_dense):
         specs.append(
             LayerSpec(in_dim=prev, out_dim=units, activation="relu",
@@ -288,14 +285,13 @@ def forward(
     x: np.ndarray,
     mode: str = "inference",
     dropout_rng: np.random.Generator | None = None,
-    dropout_masks: list | None = None,
     buffers: StepBuffers | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the stack; returns (predictions, cache).
 
-    In train mode, dropout masks are drawn from dropout_rng unless an
-    explicit mask list (as recorded in a previous cache) is supplied for
-    replay. Inference mode is a pure function of (net, x); its cache
+    In train mode, dropout masks are drawn from dropout_rng layer by
+    layer, so a generator seeded afresh draws the same masks on every
+    call. Inference mode is a pure function of (net, x); its cache
     holds no per-layer arrays.
     """
     buffers = buffers or StepBuffers()
@@ -303,12 +299,8 @@ def forward(
         raise ConfigError(f"mode must be 'train' or 'inference', got {mode!r}")
     x = _check_input(net, x)
     has_dropout = any(spec.dropout_after > 0.0 for spec in net.layers)
-    if mode == "train" and has_dropout and dropout_rng is None and dropout_masks is None:
+    if mode == "train" and has_dropout and dropout_rng is None:
         raise ContractError("train-mode forward with dropout needs a seeded stream")
-    if dropout_masks is not None and len(dropout_masks) != len(net.layers):
-        raise ContractError(
-            f"{len(dropout_masks)} replay masks for {len(net.layers)} layers"
-        )
 
     cache = ForwardCache(mode=mode, net=net, net_version=net.version)
     a = x
@@ -337,15 +329,8 @@ def forward(
         mask = None
         if spec.dropout_after > 0.0:
             keep = 1.0 - spec.dropout_after
-            if dropout_masks is not None:
-                mask = dropout_masks[li]
-                if mask is None or mask.shape != a.shape:
-                    raise ContractError(
-                        f"replay mask for layer {li} missing or misshapen"
-                    )
-            else:
-                mask = dropout_rng.random(out=buffers.array(("mask", li), shape))
-                np.less(mask, keep, out=mask)
+            mask = dropout_rng.random(out=buffers.array(("mask", li), shape))
+            np.less(mask, keep, out=mask)
             # (a * mask) / keep; with ReLU this overwrites a in place.
             a = np.multiply(a, mask, out=buffers.array(("a", li), shape))
             a /= keep

@@ -38,17 +38,21 @@ def rows_of(dataset):
     return np.column_stack(dataset.columns)
 
 
-def objective_value(net, x, y, reg, loss_kind, masks):
-    """Full training objective for one batch with dropout masks replayed."""
-    pred, _ = forward(net, x, mode="train", dropout_masks=masks)
+def objective_value(net, x, y, reg, loss_kind, dropout):
+    """Full training objective for one batch.
+
+    dropout is None or a zero-argument factory of freshly seeded
+    streams, so every call draws the same dropout masks.
+    """
+    pred, _ = forward(net, x, mode="train", dropout_rng=dropout and dropout())
     return data_loss(pred, y, loss_kind) + penalty(net, reg)
 
 
-def fd_gradient(net, x, y, reg, loss_kind="mse", masks=None, step=1e-7):
+def fd_gradient(net, x, y, reg, loss_kind="mse", dropout=None, step=1e-7):
     """Central-difference gradient of the objective, one parameter at a time.
 
     This is the independent oracle for the analytic backward pass: it
-    only ever calls the forward path.
+    only ever calls the forward path. dropout is as in objective_value.
     """
     dweights = []
     dbiases = []
@@ -60,9 +64,9 @@ def fd_gradient(net, x, y, reg, loss_kind="mse", masks=None, step=1e-7):
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + step
-                hi = objective_value(net, x, y, reg, loss_kind, masks)
+                hi = objective_value(net, x, y, reg, loss_kind, dropout)
                 flat[idx] = orig - step
-                lo = objective_value(net, x, y, reg, loss_kind, masks)
+                lo = objective_value(net, x, y, reg, loss_kind, dropout)
                 flat[idx] = orig
                 gflat[idx] = (hi - lo) / (2.0 * step)
             out.append(grad)

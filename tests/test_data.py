@@ -605,7 +605,7 @@ class TestBatchIter:
     def test_final_batch_smaller(self):
         x = np.arange(20.0).reshape(10, 2)
         y = np.arange(10.0)
-        sizes = [len(yb) for _, yb in batch_iter(x, y, 4)]
+        sizes = [len(yb) for _, yb in batch_iter(x, y, 4, shuffle_seed=2)]
         assert sizes == [4, 4, 2]
 
     def test_covers_every_row_once(self):
@@ -613,12 +613,6 @@ class TestBatchIter:
         y = np.arange(10.0)
         seen = np.concatenate([yb for _, yb in batch_iter(x, y, 3, shuffle_seed=5)])
         assert sorted(seen.tolist()) == y.tolist()
-
-    def test_unshuffled_preserves_order(self):
-        x = np.arange(10.0).reshape(10, 1)
-        y = np.arange(10.0)
-        seen = np.concatenate([yb for _, yb in batch_iter(x, y, 4)])
-        np.testing.assert_array_equal(seen, y)
 
     def test_shuffle_is_deterministic(self):
         x = np.arange(10.0).reshape(10, 1)
@@ -630,7 +624,7 @@ class TestBatchIter:
     def test_batch_larger_than_data(self):
         x = np.zeros((3, 2))
         y = np.zeros(3)
-        batches = list(batch_iter(x, y, 100))
+        batches = list(batch_iter(x, y, 100, shuffle_seed=0))
         assert len(batches) == 1
         assert batches[0][0].shape == (3, 2)
 
@@ -642,8 +636,8 @@ class TestBatchIter:
 
     def test_bad_batch_size(self):
         with pytest.raises(ConfigError):
-            list(batch_iter(np.zeros((2, 1)), np.zeros(2), 0))
+            list(batch_iter(np.zeros((2, 1)), np.zeros(2), 0, shuffle_seed=0))
 
     def test_misaligned_rows(self):
         with pytest.raises(ShapeError):
-            list(batch_iter(np.zeros((3, 1)), np.zeros(2), 1))
+            list(batch_iter(np.zeros((3, 1)), np.zeros(2), 1, shuffle_seed=0))

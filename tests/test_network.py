@@ -66,8 +66,8 @@ class TestMakeSpecs:
             make_specs(hidden=0, units=32, dropout=0.0)
 
     def test_input_width(self):
-        specs = make_specs(hidden=1, units=8, dropout=0.0, in_dim=5)
-        assert specs[0].in_dim == 5
+        specs = make_specs(hidden=1, units=8, dropout=0.0)
+        assert specs[0].in_dim == 3
 
 
 class TestNetworkValidation:
@@ -120,7 +120,7 @@ class TestInit:
     def test_weight_variance_scales_with_fan_in(self):
         # He scaling: entry variance should track 2 / in_dim. Pool the
         # first-layer entries over ten seeds for a tight estimate.
-        specs = make_specs(hidden=1, units=64, dropout=0.0, in_dim=50)
+        specs = (LayerSpec(50, 64, "relu"), LayerSpec(64, 1, "linear"))
         entries = np.concatenate(
             [init_network(specs, seed=s).weights[0].ravel() for s in range(10)]
         )
@@ -279,12 +279,18 @@ class TestDropout:
         p2, _ = forward(net, x, mode="train", dropout_rng=make_rng(42))
         np.testing.assert_array_equal(p1, p2)
 
-    def test_replayed_masks_reproduce_pass(self):
+    def test_reseeded_stream_reproduces_masks(self):
+        # The finite-difference oracle holds dropout fixed this way: a
+        # stream seeded afresh for every pass draws the same masks.
         net = self.make_dropout_net()
         x = make_rng(0).normal(size=(4, 3))
-        p1, cache = forward(net, x, mode="train", dropout_rng=make_rng(9))
-        p2, _ = forward(net, x, mode="train", dropout_masks=cache.masks)
+        p1, c1 = forward(net, x, mode="train", dropout_rng=make_rng(9))
+        p2, c2 = forward(net, x, mode="train", dropout_rng=make_rng(9))
         np.testing.assert_array_equal(p1, p2)
+        assert c1.masks[0] is not None
+        assert len(c1.masks) == len(c2.masks) == len(net.layers)
+        for m1, m2 in zip(c1.masks, c2.masks):
+            np.testing.assert_array_equal(m1, m2)
 
     def test_masks_are_zero_or_scaled_keep(self):
         net = self.make_dropout_net()
@@ -309,14 +315,6 @@ class TestDropout:
             preds[i] = p[0]
         se = preds.std() / np.sqrt(n)
         assert abs(preds.mean() - p_inf) < 3.0 * se
-
-    def test_replay_mask_shape_checked(self):
-        net = self.make_dropout_net()
-        x = np.ones((2, 3))
-        _, cache = forward(net, x, mode="train", dropout_rng=make_rng(1))
-        bad = [np.ones((1, 8)), None]
-        with pytest.raises(ContractError):
-            forward(net, x, mode="train", dropout_masks=bad)
 
 
 class TestLosses:
@@ -376,14 +374,16 @@ class TestPenalty:
 
 
 class TestBackward:
-    def check_against_fd(self, net, x, y, reg, loss_kind="mse", masks=None):
-        pred, cache = forward(net, x, mode="train", dropout_masks=masks)
+    def check_against_fd(self, net, x, y, reg, loss_kind="mse", dropout=None):
+        """dropout is None or a zero-argument factory of freshly seeded streams."""
+        pred, cache = forward(net, x, mode="train", dropout_rng=dropout and dropout())
         # A finite-difference probe is only meaningful away from the ReLU
-        # kink: no pre-activation may sit within the step of zero.
-        for z in cache.pre_acts:
-            assert np.abs(z).min() > 1e-5
+        # kink: no ReLU pre-activation may sit within the step of zero.
+        for z, spec in zip(cache.pre_acts, net.layers):
+            if spec.activation == "relu":
+                assert np.abs(z).min() > 1e-5
         grads, obj = backward(net, cache, y, reg, loss_kind=loss_kind)
-        fd_w, fd_b = fd_gradient(net, x, y, reg, loss_kind=loss_kind, masks=masks)
+        fd_w, fd_b = fd_gradient(net, x, y, reg, loss_kind=loss_kind, dropout=dropout)
         for analytic, numeric in zip(grads.dweights + grads.dbiases, fd_w + fd_b):
             np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-5)
         expect = data_loss(pred, y, loss_kind) + penalty(net, reg)
@@ -435,8 +435,28 @@ class TestBackward:
             b += rng.normal(0.0, 0.3, size=b.shape)
         x = rng.normal(size=(8, 3))
         y = rng.uniform(0.0, 100.0, size=8)
-        _, cache = forward(net, x, mode="train", dropout_rng=make_rng(106))
-        self.check_against_fd(net, x, y, RegConfig(l2=0.01), masks=cache.masks)
+        self.check_against_fd(
+            net, x, y, RegConfig(l2=0.01), dropout=lambda: make_rng(106)
+        )
+
+    @pytest.mark.parametrize("drop", [0.5, 0.0])
+    def test_gradients_match_fd_through_hidden_linear_layer(self, drop):
+        # Dropout after a linear hidden layer scales its delta by the
+        # mask alone, with no ReLU derivative to carry it.
+        specs = (
+            LayerSpec(3, 4, "relu", dropout_after=0.5),
+            LayerSpec(4, 3, "linear", dropout_after=drop),
+            LayerSpec(3, 1, "linear"),
+        )
+        net = init_network(specs, seed=107)
+        rng = make_rng(108)
+        for b in net.biases:
+            b += rng.normal(0.0, 0.3, size=b.shape)
+        x = rng.normal(size=(8, 3))
+        y = rng.uniform(0.0, 100.0, size=8)
+        self.check_against_fd(
+            net, x, y, RegConfig(l2=0.01), dropout=lambda: make_rng(109)
+        )
 
     def test_zero_residual_gives_zero_gradients(self):
         net = passthrough_net(w=2.0, b=0.0)

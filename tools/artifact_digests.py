@@ -10,8 +10,10 @@ diff the two listings:
 
 For each seed it runs `gen-data`, also on a cycle too short for a
 discharge pulse; `train` with both presets (paper-2h also with
---emit-gnuplot), sgd, rmsprop, --l1/--l2, dropout with --loss mae, and
---no-shuffle; `crossval --k 4` with --jobs 1 and 2;
+--emit-gnuplot), sgd, rmsprop, --l1/--l2, dropout with --loss mae,
+--no-shuffle, and --batch 96, whose 6400-row training split ends each
+epoch on a short batch of 64 rows (6400 = 66 x 96 + 64) where the other
+runs' batches of 128 divide it; `crossval --k 4` with --jobs 1 and 2;
 `predict` on the labeled cycle and on a four-column feature CSV made by
 dropping its soc_pct column; and `evaluate`. It also runs `gen-data`,
 `predict` and `evaluate` on a 16385-row cycle, which `predict` cuts into
@@ -54,6 +56,7 @@ TRAIN_RUNS = {
     "dropout-mae": ["--preset", "paper-4h-dropout", "--loss", "mae",
                     "--l1", "1e-5", "--l2", "1e-4"],
     "no-shuffle": ["--preset", "paper-2h", "--no-shuffle"],
+    "batch-96": ["--preset", "paper-2h", "--batch", "96"],
 }
 
 
