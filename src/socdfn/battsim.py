@@ -92,6 +92,13 @@ class CycleConfig:
             raise ConfigError(
                 f"duration_s ({self.duration_s}) must be at least dt_s ({self.dt_s})"
             )
+        # numpy refuses an array whose byte count exceeds intp, so a float64
+        # column of floor(duration_s / dt_s) steps must stay under that.
+        if self.duration_s / self.dt_s > np.iinfo(np.intp).max // 8:
+            raise ConfigError(
+                f"duration_s / dt_s is {self.duration_s / self.dt_s:g} steps, "
+                "more than one array can hold"
+            )
         if not 0.0 < self.peak_discharge_a < math.inf:
             raise ConfigError(
                 f"peak_discharge_a must be positive, got {self.peak_discharge_a}"
@@ -213,7 +220,6 @@ def simulate_cell(
         current=current,
         temperature=temps,
         soc=soc,
-        name="simulated-cycle",
     )
 
 

@@ -8,9 +8,9 @@ Every stochastic subcommand takes --seed and is bit-reproducible under
 it: rerunning the same invocation rewrites byte-identical CSVs and
 model files.
 
-Exit codes: 0 success; 2 usage or configuration error; 3 I/O error;
-4 schema, shape, or model-format violation; 5 numeric failure (loss
-or prediction went non-finite).
+Exit codes: 0 success; 2 usage or configuration error, or a run too
+big for memory; 3 I/O error; 4 schema, shape, or model-format
+violation; 5 numeric failure (loss or prediction went non-finite).
 """
 
 import argparse
@@ -57,7 +57,9 @@ PRESETS = {
 }
 
 # Exit code of each error class (see _EPILOG); the first match wins.
-_EXIT_CODES = ((ConfigError, 2), (NumericError, 5), (SocdfnError, 4), (OSError, 3))
+_EXIT_CODES = (
+    (ConfigError, 2), (MemoryError, 2), (NumericError, 5), (SocdfnError, 4), (OSError, 3)
+)
 
 # Argparse dests of the training flags a saved model's meta echoes.
 _TRAIN_META = (
@@ -67,7 +69,7 @@ _TRAIN_META = (
 
 _EPILOG = """exit codes:
   0  success
-  2  usage or configuration error
+  2  usage or configuration error, or a run too big for memory
   3  I/O error (missing or unwritable file)
   4  schema/validation error (bad CSV, shape mismatch, bad model file)
   5  numeric failure (loss or prediction went non-finite)
@@ -261,7 +263,7 @@ def cmd_crossval(args) -> None:
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     check_jobs(jobs)
     _, specs, cfg, (train_ds, val_ds, _) = _setup(args)
-    pool = concat_datasets(train_ds, val_ds, name="cv-pool")
+    pool = concat_datasets(train_ds, val_ds)
     report = cross_validate(pool, specs, args.k, cfg, seed=args.seed, jobs=jobs)
     _write_all([(args.report_out, partial(write_cv_csv, report))])
     for fold in range(report.k):
@@ -368,7 +370,7 @@ def main(argv=None) -> int:
     )
     try:
         args.func(args)
-    except (SocdfnError, OSError) as e:
+    except (SocdfnError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(e, cls))
     return EXIT_OK

@@ -55,7 +55,6 @@ class Dataset:
     current: np.ndarray
     temperature: np.ndarray
     soc: np.ndarray
-    name: str = "dataset"
 
     def __post_init__(self):
         for column in COLUMNS:
@@ -101,7 +100,7 @@ def load_csv(path) -> Dataset:
     Raises DataError with a 1-based line number on any malformed or
     out-of-range row, and OSError if the file cannot be read.
     """
-    return Dataset(*_read_columns(path, require_soc=True), name=str(path))
+    return Dataset(*_read_columns(path, require_soc=True))
 
 
 def load_features_csv(path) -> Dataset:
@@ -111,7 +110,7 @@ def load_features_csv(path) -> Dataset:
     carried through but not required to be meaningful) or the four-column
     feature schema, in which case soc is filled with zeros.
     """
-    return Dataset(*_read_columns(path, require_soc=False), name=str(path))
+    return Dataset(*_read_columns(path, require_soc=False))
 
 
 def _read_columns(path, require_soc: bool) -> np.ndarray:
@@ -236,7 +235,7 @@ def feature_matrix(dataset: Dataset) -> np.ndarray:
     order, and to the same bits, on every call.
     """
     if len(dataset) == 0:
-        raise ConfigError(f"dataset {dataset.name!r} is empty")
+        raise ConfigError("dataset is empty")
     return np.column_stack((dataset.voltage, dataset.current, dataset.temperature))
 
 
@@ -277,12 +276,9 @@ def apply_normalizer(norm: Normalizer, dataset: Dataset) -> np.ndarray:
     return normalize_features(norm, feature_matrix(dataset))
 
 
-def _subset(dataset: Dataset, indices: np.ndarray, name: str) -> Dataset:
+def _subset(dataset: Dataset, indices: np.ndarray) -> Dataset:
     ordered = np.sort(np.asarray(indices))
-    return Dataset(
-        *(column[ordered] for column in dataset.columns),
-        name=f"{dataset.name}/{name}",
-    )
+    return Dataset(*(column[ordered] for column in dataset.columns))
 
 
 def check_split_fractions(train_frac: float, val_frac: float) -> None:
@@ -321,9 +317,9 @@ def split_holdout(
     else:
         order = np.arange(n)
     return (
-        _subset(dataset, order[:n_train], "train"),
-        _subset(dataset, order[n_train : n_train + n_val], "val"),
-        _subset(dataset, order[n_train + n_val :], "test"),
+        _subset(dataset, order[:n_train]),
+        _subset(dataset, order[n_train : n_train + n_val]),
+        _subset(dataset, order[n_train + n_val :]),
     )
 
 
@@ -362,15 +358,13 @@ def fold_datasets(
     val_idx = np.nonzero(assignment.fold_of == fold)[0]
     train_idx = np.nonzero(assignment.fold_of != fold)[0]
     return (
-        _subset(dataset, train_idx, f"fold{fold}-train"),
-        _subset(dataset, val_idx, f"fold{fold}-val"),
+        _subset(dataset, train_idx),
+        _subset(dataset, val_idx),
     )
 
 
-def concat_datasets(a: Dataset, b: Dataset, name: str) -> Dataset:
-    return Dataset(
-        *(np.concatenate(pair) for pair in zip(a.columns, b.columns)), name=name
-    )
+def concat_datasets(a: Dataset, b: Dataset) -> Dataset:
+    return Dataset(*(np.concatenate(pair) for pair in zip(a.columns, b.columns)))
 
 
 def batch_iter(x: np.ndarray, y: np.ndarray, batch_size: int, shuffle_seed: int):

@@ -1,10 +1,14 @@
 """Parameter update rules: plain SGD, RMSProp, and Adam.
 
-Every rule takes (state, net, grads, cfg, buffers=None) and returns
-(net, state). It updates the network's flat parameter vector in place,
-as a few whole-vector ufunc calls into two scratch vectors kept in a
-StepBuffers, bumps state.step, and bumps the network version counter
-so stale forward caches are refused. The element-wise operations run
+apply_update(state, net, grads, cfg, buffers=None) returns (net, state)
+and does one step in this order: it checks the gradient layout (a
+ShapeError leaves everything unchanged), takes two scratch vectors from
+a StepBuffers, bumps state.step, runs the rule named by cfg.kind, and
+bumps the network version counter so stale forward caches are refused.
+Each rule, _sgd, _rmsprop and _adam, is only its formula:
+(cfg, state, w, g, s, t) updates the flat parameters w in place as a
+few whole-vector ufunc calls into the scratch vectors s and t, reading
+the step count that was just bumped. The element-wise operations run
 in the order each rule's formula is written, so every result is the
 same bits as a per-array update. Defaults follow common practice:
 lr=1e-3, beta1=0.9, beta2=0.999, rho=0.9, epsilon=1e-8, with epsilon
@@ -70,41 +74,13 @@ def init_state(net: Network) -> OptimizerState:
     return OptimizerState(step=0, m=np.zeros_like(net.flat), v=np.zeros_like(net.flat))
 
 
-def _operands(net: Network, grads: GradientSet, buffers: StepBuffers | None):
-    """(g, s, t): the flat gradient and two scratch vectors of its size."""
-    if grads.layout != net.layout:
-        raise ShapeError(
-            f"gradient layout {grads.layout} does not match parameters {net.layout}"
-        )
-    buffers = buffers or StepBuffers()
-    s, t = (buffers.array(("update", i), net.flat.shape) for i in (0, 1))
-    return grads.flat, s, t
+def _sgd(cfg, state, w, g, s, t) -> None:
+    """w <- w - lr * g; the moments are not used."""
+    w -= np.multiply(cfg.learning_rate, g, out=s)
 
 
-def sgd_step(
-    state: OptimizerState,
-    net: Network,
-    grads: GradientSet,
-    cfg: OptimizerConfig,
-    buffers: StepBuffers | None = None,
-) -> tuple[Network, OptimizerState]:
-    """w <- w - lr * g for every parameter; the moments are not used."""
-    g, s, _ = _operands(net, grads, buffers)
-    net.flat -= np.multiply(cfg.learning_rate, g, out=s)
-    state.step += 1
-    net.version += 1
-    return net, state
-
-
-def rmsprop_step(
-    state: OptimizerState,
-    net: Network,
-    grads: GradientSet,
-    cfg: OptimizerConfig,
-    buffers: StepBuffers | None = None,
-) -> tuple[Network, OptimizerState]:
+def _rmsprop(cfg, state, w, g, s, t) -> None:
     """v <- rho*v + (1-rho)*g^2; w <- w - lr * g / (sqrt(v) + eps)."""
-    g, s, t = _operands(net, grads, buffers)
     state.v *= cfg.rho
     np.multiply(1.0 - cfg.rho, g, out=s)
     s *= g
@@ -113,28 +89,17 @@ def rmsprop_step(
     np.sqrt(state.v, out=t)
     t += cfg.epsilon
     s /= t
-    net.flat -= s
-    state.step += 1
-    net.version += 1
-    return net, state
+    w -= s
 
 
-def adam_step(
-    state: OptimizerState,
-    net: Network,
-    grads: GradientSet,
-    cfg: OptimizerConfig,
-    buffers: StepBuffers | None = None,
-) -> tuple[Network, OptimizerState]:
+def _adam(cfg, state, w, g, s, t) -> None:
     """Adam with bias correction; epsilon sits outside the square root.
 
     m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g*g;
     w <- w - lr * (m / bc1) / (sqrt(v / bc2) + eps).
     """
-    g, s, t = _operands(net, grads, buffers)
-    step = state.step + 1
-    bc1 = 1.0 - cfg.beta1**step
-    bc2 = 1.0 - cfg.beta2**step
+    bc1 = 1.0 - cfg.beta1**state.step
+    bc2 = 1.0 - cfg.beta2**state.step
     state.m *= cfg.beta1
     state.m += np.multiply(1.0 - cfg.beta1, g, out=s)
     state.v *= cfg.beta2
@@ -147,13 +112,10 @@ def adam_step(
     np.sqrt(t, out=t)
     t += cfg.epsilon
     s /= t
-    net.flat -= s
-    state.step = step
-    net.version += 1
-    return net, state
+    w -= s
 
 
-_RULES = {"sgd": sgd_step, "rmsprop": rmsprop_step, "adam": adam_step}
+_RULES = {"sgd": _sgd, "rmsprop": _rmsprop, "adam": _adam}
 
 
 def apply_update(
@@ -163,9 +125,18 @@ def apply_update(
     cfg: OptimizerConfig,
     buffers: StepBuffers | None = None,
 ) -> tuple[Network, OptimizerState]:
-    """Dispatch one update by cfg.kind.
+    """Apply one update by cfg.kind to net.flat in place.
 
-    Raises ShapeError when the gradient layout differs from the
-    network's.
+    Raises ShapeError, before anything changes, when the gradient
+    layout differs from the network's.
     """
-    return _RULES[cfg.kind](state, net, grads, cfg, buffers)
+    if grads.layout != net.layout:
+        raise ShapeError(
+            f"gradient layout {grads.layout} does not match parameters {net.layout}"
+        )
+    buffers = buffers or StepBuffers()
+    s, t = (buffers.array(("update", i), net.flat.shape) for i in (0, 1))
+    state.step += 1
+    _RULES[cfg.kind](cfg, state, net.flat, grads.flat, s, t)
+    net.version += 1
+    return net, state

@@ -28,9 +28,9 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def dataset_from_rows(rows, name="dataset"):
+def dataset_from_rows(rows):
     """Dataset from (t, voltage, current, temperature, soc) row tuples."""
-    return Dataset(*np.array(rows, dtype=np.float64).reshape(-1, 5).T, name=name)
+    return Dataset(*np.array(rows, dtype=np.float64).reshape(-1, 5).T)
 
 
 def rows_of(dataset):

@@ -14,6 +14,7 @@ README.md documents it.
 import os
 import re
 import time
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from socdfn.network import (
     forward,
     init_network,
 )
-from socdfn.optimize import OptimizerConfig, adam_step, init_state, rmsprop_step
+from socdfn.optimize import OptimizerConfig, apply_update, init_state
 from socdfn.rng import make_rng, substream
 
 TRAIN_LINE = re.compile(
@@ -217,7 +218,7 @@ def test_05_optimizer_golden_traces():
     worst_law = 0.0
     for g in (1e-6, 1e-3, 0.5, 3.0, 1e4):
         net = one_weight_net()
-        adam_step(init_state(net), net, scalar_grads(net, g), cfg)
+        apply_update(init_state(net), net, scalar_grads(net, g), cfg)
         step = abs(1.0 - net.weights[0][0, 0])
         expect = cfg.learning_rate * abs(g) / (abs(g) + cfg.epsilon)
         worst_law = max(worst_law, abs(step - expect))
@@ -234,7 +235,7 @@ def test_05_optimizer_golden_traces():
     state = init_state(net)
     for step_no, (w_ref, m_ref, v_ref) in enumerate(adam_table):
         g = 0.5 * (-0.5) ** step_no
-        adam_step(state, net, scalar_grads(net, g), cfg)
+        apply_update(state, net, scalar_grads(net, g), cfg)
         np.testing.assert_allclose(net.weights[0][0, 0], w_ref, rtol=0, atol=1e-15)
         np.testing.assert_allclose(state.m[0], m_ref, rtol=0, atol=1e-15)
         np.testing.assert_allclose(state.v[0], v_ref, rtol=0, atol=1e-15)
@@ -248,7 +249,7 @@ def test_05_optimizer_golden_traces():
     state = init_state(net)
     for step_no, (w_ref, v_ref) in enumerate(rmsprop_table):
         g = 0.5 * (-0.5) ** step_no
-        rmsprop_step(state, net, scalar_grads(net, g), cfg)
+        apply_update(state, net, scalar_grads(net, g), replace(cfg, kind="rmsprop"))
         np.testing.assert_allclose(net.weights[0][0, 0], w_ref, rtol=0, atol=1e-15)
         np.testing.assert_allclose(state.v[0], v_ref, rtol=0, atol=1e-15)
 

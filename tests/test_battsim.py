@@ -84,6 +84,13 @@ class TestCycleConfig:
         with pytest.raises(ConfigError):
             CycleConfig(seed=-1)
 
+    def test_step_count_bounded_by_array_size(self):
+        # 2**60 float64 steps is 2**63 bytes, one more than numpy can size.
+        CycleConfig(duration_s=2.0**60 - 256.0, dt_s=1.0)
+        for duration_s, dt_s in ((2.0**60, 1.0), (1.0, 1e-300), (1e300, 5e-324)):
+            with pytest.raises(ConfigError, match="steps"):
+                CycleConfig(duration_s=duration_s, dt_s=dt_s)
+
 
 class TestGenerateDriveCycle:
     def test_length(self):

@@ -585,6 +585,12 @@ BAD_FLAG_VALUES = [
     ("gen-data", "--r-internal", "20"),
     ("gen-data", "--peak", "1e308"),
     ("gen-data", "--peak", "1.7e308"),
+    # Runs too big for memory: more steps than one array can hold, and
+    # first allocations (11.8 PiB, 1.5 PiB) larger than the address space,
+    # so no host can map them.
+    ("gen-data", "--dt", "1e-300"),
+    ("gen-data", "--duration", "1e18"),
+    ("train", "--units", str(2**46)),
 ]
 
 
@@ -790,6 +796,36 @@ def test_readme_library_snippet_is_the_train_command(tmp_path):
     np.testing.assert_array_equal(net.flat, cli_net.flat)
     np.testing.assert_array_equal(norm.mean, cli_norm.mean)
     np.testing.assert_array_equal(norm.std, cli_norm.std)
+
+
+@pytest.mark.parametrize("flags, optimizer", [
+    (["--optimizer", "rmsprop", "--rho", "0.5", "--epsilon", "1e-6"],
+     {"kind": "rmsprop", "rho": 0.5, "epsilon": 1e-6}),
+    (["--beta1", "0.8", "--beta2", "0.99"], {"beta1": 0.8, "beta2": 0.99}),
+], ids=["rmsprop", "adam"])
+def test_optimizer_flags_reach_the_update_rule(tmp_path, flags, optimizer):
+    """`train`'s non-default optimizer flags reach the matching OptimizerConfig fields."""
+    from socdfn.data import load_csv
+    from socdfn.network import RegConfig, make_specs
+    from socdfn.optimize import OptimizerConfig
+    from socdfn.train import TrainConfig, fit_datasets, holdout
+
+    cycle = tmp_path / "cycle.csv"
+    model = tmp_path / "model.json"
+    code, _, err = run_cli(
+        ["gen-data", "--out", str(cycle), "--duration", "600", "--seed", "0"]
+    )
+    assert code == 0, err
+    code, _, err = run_cli(["train", "--data", str(cycle), "--epochs", "2", "--units", "16",
+                            "--seed", "0", "--model-out", str(model), *flags])
+    assert code == 0, err
+    cli_net, _, _ = load_model(model)
+
+    train, val, _ = holdout(load_csv(cycle), 0.8, 0.1, seed=0)
+    cfg = TrainConfig(epochs=2, batch_size=128, optimizer=OptimizerConfig(**optimizer),
+                      reg=RegConfig(), shuffle_seed=0)
+    net, _, _ = fit_datasets(make_specs(hidden=2, units=16, dropout=0.0), 0, train, val, cfg)
+    np.testing.assert_array_equal(net.flat, cli_net.flat)
 
 
 class TestParser:

@@ -36,7 +36,7 @@ from socdfn.errors import (
 )
 
 
-def make_dataset(n, seed=0, name="synthetic"):
+def make_dataset(n, seed=0):
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(n):
@@ -49,7 +49,7 @@ def make_dataset(n, seed=0, name="synthetic"):
                 float(rng.uniform(0.0, 100.0)),
             )
         )
-    return dataset_from_rows(rows, name=name)
+    return dataset_from_rows(rows)
 
 
 def write_lines(path, lines):
@@ -358,7 +358,7 @@ class TestMatrices:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
-            feature_matrix(dataset_from_rows([], name="none"))
+            feature_matrix(dataset_from_rows([]))
 
     def test_columns_are_read_only_contiguous_float64(self):
         t = np.arange(4)
@@ -593,12 +593,12 @@ class TestKfold:
 
 class TestConcat:
     def test_orders_a_then_b(self):
-        a = make_dataset(3, seed=0, name="a")
-        b = make_dataset(2, seed=1, name="b")
-        both = concat_datasets(a, b, "pool")
+        a = make_dataset(3, seed=0)
+        b = make_dataset(2, seed=1)
+        both = concat_datasets(a, b)
         assert len(both) == 5
         assert np.array_equal(rows_of(both)[:3], rows_of(a))
-        assert both.name == "pool"
+        assert np.array_equal(rows_of(both)[3:], rows_of(b))
 
 
 class TestBatchIter:

@@ -1,4 +1,4 @@
-"""Tests for the three update rules.
+"""Tests for the three update rules, each reached through apply_update.
 
 The multi-step traces below were computed by hand (pure Python floats,
 no numpy) from the update equations and then frozen. If an
@@ -20,14 +20,7 @@ from socdfn.network import (
     init_network,
     make_specs,
 )
-from socdfn.optimize import (
-    OptimizerConfig,
-    adam_step,
-    apply_update,
-    init_state,
-    rmsprop_step,
-    sgd_step,
-)
+from socdfn.optimize import OptimizerConfig, apply_update, init_state
 from socdfn.rng import make_rng
 
 
@@ -98,7 +91,7 @@ class TestSgd:
     def test_single_step_by_hand(self):
         net = one_param_net(w0=1.0)
         cfg = OptimizerConfig(kind="sgd", learning_rate=0.1)
-        sgd_step(init_state(net), net, grad_of(0.5, db=0.25), cfg)
+        apply_update(init_state(net), net, grad_of(0.5, db=0.25), cfg)
         assert weight(net) == 0.95
         assert float(net.biases[0][0]) == -0.025
 
@@ -106,33 +99,33 @@ class TestSgd:
         net = one_param_net(w0=1.0)
         cfg = OptimizerConfig(kind="sgd", learning_rate=0.1)
         state = init_state(net)
-        sgd_step(state, net, grad_of(0.5), cfg)
-        sgd_step(state, net, grad_of(0.5), cfg)
+        apply_update(state, net, grad_of(0.5), cfg)
+        apply_update(state, net, grad_of(0.5), cfg)
         np.testing.assert_allclose(weight(net), 0.90, rtol=1e-15)
         assert state.step == 2
 
     def test_zero_gradient_is_identity(self):
         net = one_param_net(w0=2.5)
         cfg = OptimizerConfig(kind="sgd", learning_rate=0.1)
-        sgd_step(init_state(net), net, grad_of(0.0), cfg)
+        apply_update(init_state(net), net, grad_of(0.0), cfg)
         assert weight(net) == 2.5
 
     def test_zero_lr_freezes_weights(self):
         net = one_param_net(w0=2.5)
         cfg = OptimizerConfig(kind="sgd", learning_rate=0.0)
-        sgd_step(init_state(net), net, grad_of(7.0), cfg)
+        apply_update(init_state(net), net, grad_of(7.0), cfg)
         assert weight(net) == 2.5
 
     def test_version_bumped(self):
         net = one_param_net()
         assert net.version == 0
-        sgd_step(init_state(net), net, grad_of(0.1), OptimizerConfig(kind="sgd"))
+        apply_update(init_state(net), net, grad_of(0.1), OptimizerConfig(kind="sgd"))
         assert net.version == 1
 
     def test_updates_in_place(self):
         net = one_param_net()
         state = init_state(net)
-        out = sgd_step(state, net, grad_of(0.1), OptimizerConfig(kind="sgd"))
+        out = apply_update(state, net, grad_of(0.1), OptimizerConfig(kind="sgd"))
         assert out[0] is net
         assert out[1] is state
 
@@ -143,9 +136,21 @@ class TestRmsprop:
         # lr = 1e-3, rho = 0.9 that is 0.0005 / (0.15811388... + 1e-8).
         net = one_param_net(w0=1.0)
         state = init_state(net)
-        rmsprop_step(state, net, grad_of(0.5), OptimizerConfig(kind="rmsprop"))
+        apply_update(state, net, grad_of(0.5), OptimizerConfig(kind="rmsprop"))
         np.testing.assert_allclose(
             weight(net) - 1.0, -0.003162277460168392, rtol=0.0, atol=1e-15
+        )
+
+    def test_first_step_with_non_default_rho(self):
+        # rho = 0.5 differs from every other default, so a rule that read
+        # beta1 (0.9) in its place would fail: v1 = 0.5 * 0.5^2 = 0.125,
+        # step = 1e-3 * 0.5 / (sqrt(0.125) + 1e-8).
+        net = one_param_net(w0=1.0)
+        state = init_state(net)
+        apply_update(state, net, grad_of(0.5), OptimizerConfig(kind="rmsprop", rho=0.5))
+        assert state.v[0] == 0.125
+        np.testing.assert_allclose(
+            weight(net) - 1.0, -0.0014142135223731422, rtol=0.0, atol=1e-15
         )
 
     def test_three_step_trace(self):
@@ -158,7 +163,7 @@ class TestRmsprop:
             (0.9975575056693909, 0.027437499999999997),
         ]
         for g, (w_exp, v_exp) in zip([0.5, -0.25, 0.125], expect):
-            rmsprop_step(state, net, grad_of(g), cfg)
+            apply_update(state, net, grad_of(g), cfg)
             np.testing.assert_allclose(weight(net), w_exp, rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(state.v[0], v_exp, rtol=0.0, atol=1e-15)
         assert state.step == 3
@@ -167,10 +172,10 @@ class TestRmsprop:
         net = one_param_net(w0=1.0)
         state = init_state(net)
         cfg = OptimizerConfig(kind="rmsprop")
-        rmsprop_step(state, net, grad_of(1.0), cfg)
+        apply_update(state, net, grad_of(1.0), cfg)
         w1 = weight(net)
         v1 = float(state.v[0])
-        rmsprop_step(state, net, grad_of(0.0), cfg)
+        apply_update(state, net, grad_of(0.0), cfg)
         assert weight(net) == w1
         np.testing.assert_allclose(state.v[0], 0.9 * v1, rtol=1e-15)
 
@@ -180,7 +185,7 @@ class TestRmsprop:
         deltas = []
         for g in (0.01, 1.0):
             net = one_param_net(w0=1.0)
-            rmsprop_step(
+            apply_update(
                 init_state(net), net, grad_of(g), OptimizerConfig(kind="rmsprop")
             )
             deltas.append(abs(weight(net) - 1.0))
@@ -193,13 +198,13 @@ class TestAdam:
         # exactly: |step| = lr * |g| / (|g| + eps), for any beta pair.
         for g in (1e-6, 0.5, 3.0, 1e4):
             net = one_param_net(w0=1.0)
-            adam_step(init_state(net), net, grad_of(g), OptimizerConfig())
+            apply_update(init_state(net), net, grad_of(g), OptimizerConfig())
             expect = 1e-3 * g / (g + 1e-8)
             assert abs(abs(weight(net) - 1.0) - expect) < 1e-9
 
     def test_first_step_direction_opposes_gradient(self):
         net = one_param_net(w0=1.0)
-        adam_step(init_state(net), net, grad_of(-2.0), OptimizerConfig())
+        apply_update(init_state(net), net, grad_of(-2.0), OptimizerConfig())
         assert weight(net) > 1.0
 
     def test_three_step_trace(self):
@@ -212,29 +217,40 @@ class TestAdam:
             (0.9983932338491666, 0.030499999999999996, 0.0003275627500000003),
         ]
         for g, (w_exp, m_exp, v_exp) in zip([0.5, -0.25, 0.125], expect):
-            adam_step(state, net, grad_of(g), cfg)
+            apply_update(state, net, grad_of(g), cfg)
             np.testing.assert_allclose(weight(net), w_exp, rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(state.m[0], m_exp, rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(state.v[0], v_exp, rtol=0.0, atol=1e-15)
         assert state.step == 3
 
+    def test_first_step_with_non_default_hyperparameters(self):
+        # m1 = 0.2 * 0.5 = 0.1, v1 = 0.01 * 0.5^2 = 0.0025, and
+        # step = 1e-3 * (0.1 / 0.2) / (sqrt(0.0025 / 0.01) + 1e-4).
+        net = one_param_net(w0=1.0)
+        state = init_state(net)
+        cfg = OptimizerConfig(beta1=0.8, beta2=0.99, epsilon=1e-4)
+        apply_update(state, net, grad_of(0.5), cfg)
+        np.testing.assert_allclose(state.m[0], 0.09999999999999998, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(state.v[0], 0.0025000000000000022, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(weight(net), 0.999000199960008, rtol=0.0, atol=1e-15)
+
     def test_step_size_bounded_by_lr(self):
         for g in (1e-3, 1.0, 1e3):
             net = one_param_net(w0=0.0)
-            adam_step(init_state(net), net, grad_of(g), OptimizerConfig())
+            apply_update(init_state(net), net, grad_of(g), OptimizerConfig())
             delta = abs(weight(net))
             assert 0.99e-3 < delta <= 1e-3 + 1e-18
 
     def test_zero_gradient_zero_state_is_identity(self):
         net = one_param_net(w0=4.0)
         state = init_state(net)
-        adam_step(state, net, grad_of(0.0), OptimizerConfig())
+        apply_update(state, net, grad_of(0.0), OptimizerConfig())
         assert weight(net) == 4.0
 
     def test_zero_lr_updates_moments_not_weights(self):
         net = one_param_net(w0=4.0)
         state = init_state(net)
-        adam_step(state, net, grad_of(2.0), OptimizerConfig(learning_rate=0.0))
+        apply_update(state, net, grad_of(2.0), OptimizerConfig(learning_rate=0.0))
         assert weight(net) == 4.0
         assert state.m[0] != 0.0
         assert state.step == 1
@@ -250,30 +266,29 @@ class TestApplyUpdate:
         np.testing.assert_array_equal(state.m, [0.0, 0.0])
         np.testing.assert_array_equal(state.v, [0.0, 0.0])
 
-    def test_dispatch_matches_direct_calls(self):
-        for kind in ("sgd", "rmsprop", "adam"):
-            net_a = one_param_net()
-            net_b = one_param_net()
-            cfg = OptimizerConfig(kind=kind, learning_rate=0.01)
-            state_a = init_state(net_a)
-            state_b = init_state(net_b)
-            apply_update(state_a, net_a, grad_of(0.7), cfg)
-            rule = {"sgd": sgd_step, "rmsprop": rmsprop_step, "adam": adam_step}[kind]
-            rule(state_b, net_b, grad_of(0.7), cfg)
-            assert weight(net_a) == weight(net_b)
-            assert state_a.step == state_b.step == 1
+    def assert_refused_unchanged(self, net, bad):
+        # A refused update touches neither the step count, the version,
+        # the weights nor the moments.
+        state = init_state(net)
+        state.m += 0.5
+        state.v += 0.25
+        before = (net.flat.copy(), state.m.copy(), state.v.copy())
+        with pytest.raises(ShapeError):
+            apply_update(state, net, bad, OptimizerConfig())
+        assert state.step == 0
+        assert net.version == 0
+        for got, want in zip((net.flat, state.m, state.v), before):
+            np.testing.assert_array_equal(got, want)
 
     def test_gradient_layer_count_checked(self):
         net = init_network(make_specs(2, 4, 0.0), seed=0)
         bad = GradientSet(dweights=[np.zeros((3, 4))], dbiases=[np.zeros(4)])
-        with pytest.raises(ShapeError):
-            apply_update(init_state(net), net, bad, OptimizerConfig(kind="sgd"))
+        self.assert_refused_unchanged(net, bad)
 
     def test_gradient_shape_checked(self):
         net = one_param_net()
         bad = GradientSet(dweights=[np.zeros((2, 1))], dbiases=[np.zeros(1)])
-        with pytest.raises(ShapeError):
-            apply_update(init_state(net), net, bad, OptimizerConfig(kind="sgd"))
+        self.assert_refused_unchanged(net, bad)
 
 
 class TestConvergence:
@@ -378,7 +393,7 @@ class TestFlatLayout:
         for caller, own in zip(w + b, net.weights + net.biases):
             assert not np.shares_memory(caller, own)
         grads = GradientSet(dweights=w, dbiases=b)
-        sgd_step(init_state(net), net, grads, OptimizerConfig(kind="sgd"))
+        apply_update(init_state(net), net, grads, OptimizerConfig(kind="sgd"))
         np.testing.assert_array_equal(w[0], np.ones((3, 2)))
         assert net.weights[0][0, 0] == 1.0 - 1e-3
 

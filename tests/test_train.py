@@ -44,7 +44,7 @@ def affine_batch(n, seed):
     return x, y
 
 
-def affine_dataset(n, seed, name="affine"):
+def affine_dataset(n, seed):
     """Dataset whose SOC is affine in the (voltage, current, temp) row."""
     rng = make_rng(seed)
     rows = []
@@ -54,7 +54,7 @@ def affine_dataset(n, seed, name="affine"):
         temp = 25.0 + rng.uniform(0.0, 6.0)
         soc = 50.0 + 60.0 * (v - 3.6) + 8.0 * c + 1.5 * (temp - 28.0)
         rows.append((float(i), v, c, temp, float(np.clip(soc, 0.0, 100.0))))
-    return dataset_from_rows(rows, name=name)
+    return dataset_from_rows(rows)
 
 
 def small_cfg(**overrides):
@@ -485,4 +485,4 @@ class TestEvaluate:
         norm = fit_normalizer(affine_dataset(10, seed=0))
         net = init_network(make_specs(1, 4, 0.0), seed=1)
         with pytest.raises(ConfigError):
-            evaluate(net, norm, dataset_from_rows([], name="none"))
+            evaluate(net, norm, dataset_from_rows([]))

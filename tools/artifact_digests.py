@@ -11,9 +11,11 @@ diff the two listings:
 For each seed it runs `gen-data`, also on a cycle too short for a
 discharge pulse; `train` with both presets (paper-2h also with
 --emit-gnuplot), sgd, rmsprop, --l1/--l2, dropout with --loss mae,
---no-shuffle, and --batch 96, whose 6400-row training split ends each
+--no-shuffle, --batch 96, whose 6400-row training split ends each
 epoch on a short batch of 64 rows (6400 = 66 x 96 + 64) where the other
-runs' batches of 128 divide it; `crossval --k 4` with --jobs 1 and 2;
+runs' batches of 128 divide it, rmsprop with a non-default --rho and
+--epsilon, and adam with non-default --beta1, --beta2 and --lr, so a
+flag that reached the wrong hyperparameter would change a digest; `crossval --k 4` with --jobs 1 and 2;
 `predict` on the labeled cycle and on a four-column feature CSV made by
 dropping its soc_pct column; and `evaluate`. It also runs `gen-data`,
 `predict` and `evaluate` on a 16385-row cycle, which `predict` cuts into
@@ -57,6 +59,10 @@ TRAIN_RUNS = {
                     "--l1", "1e-5", "--l2", "1e-4"],
     "no-shuffle": ["--preset", "paper-2h", "--no-shuffle"],
     "batch-96": ["--preset", "paper-2h", "--batch", "96"],
+    "rmsprop-hyper": ["--preset", "paper-2h", "--optimizer", "rmsprop", "--rho", "0.8",
+                      "--epsilon", "1e-6"],
+    "adam-hyper": ["--preset", "paper-2h", "--beta1", "0.8", "--beta2", "0.99",
+                   "--lr", "2e-3"],
 }
 
 
