@@ -34,6 +34,7 @@ from .data import (
 )
 from .errors import ConfigError, NumericError, SocdfnError
 from .modelio import (
+    cv_table,
     load_model,
     save_model,
     write_cv_csv,
@@ -138,7 +139,7 @@ def _train_config(args) -> TrainConfig:
             epsilon=args.epsilon,
         ),
         reg=RegConfig(l1=args.l1, l2=args.l2),
-        shuffle_seed=args.seed,
+        seed=args.seed,
         loss=args.loss,
     )
 
@@ -232,25 +233,41 @@ def _write_all(outputs) -> None:
                 os.remove(tmp)
 
 
+def _check_distinct(paths) -> None:
+    """ConfigError when two outputs resolve to one file; special files may repeat."""
+    seen = {}
+    for path in paths:
+        if path and not (os.path.exists(path) and not os.path.isfile(path)):
+            target = os.path.realpath(path)
+            if target in seen:
+                raise ConfigError(f"outputs {seen[target]} and {path} are the same file")
+            seen[target] = path
+
+
 def cmd_train(args) -> None:
     if args.emit_gnuplot and not args.history_out:
         raise ConfigError("--emit-gnuplot needs --history-out")
+    gnuplot_out = args.emit_gnuplot and f"{args.history_out}.gnuplot"
+    paths = (
+        args.save_train, args.save_val, args.save_test, args.history_out, gnuplot_out,
+        args.model_out,
+    )
+    _check_distinct(paths)
     arch, specs, cfg, (train_ds, val_ds, test_ds) = _setup(args)
     logger.info(
         "training %d epochs on %d rows (val %d, test %d)",
         cfg.epochs, len(train_ds), len(val_ds), len(test_ds),
     )
-    net, norm, history = fit_datasets(specs, args.seed, train_ds, val_ds, cfg)
+    net, norm, history = fit_datasets(specs, train_ds, val_ds, cfg)
     test_mae = evaluate(net, norm, test_ds)
-    gnuplot_out = args.emit_gnuplot and f"{args.history_out}.gnuplot"
-    _write_all([
-        (args.save_train, partial(write_csv, train_ds)),
-        (args.save_val, partial(write_csv, val_ds)),
-        (args.save_test, partial(write_csv, test_ds)),
-        (args.history_out, partial(write_history_csv, history)),
-        (gnuplot_out, partial(write_gnuplot_script, args.history_out)),
-        (args.model_out, partial(save_model, net, norm, meta=_meta(args, arch))),
-    ])
+    _write_all(zip(paths, (
+        partial(write_csv, train_ds),
+        partial(write_csv, val_ds),
+        partial(write_csv, test_ds),
+        partial(write_history_csv, history),
+        partial(write_gnuplot_script, args.history_out),
+        partial(save_model, net, norm, meta=_meta(args, arch)),
+    )))
     final = history.final
     print(
         f"epochs={cfg.epochs} train_mae={final.train_mae:.6f} "
@@ -264,16 +281,12 @@ def cmd_crossval(args) -> None:
     check_jobs(jobs)
     _, specs, cfg, (train_ds, val_ds, _) = _setup(args)
     pool = concat_datasets(train_ds, val_ds)
-    report = cross_validate(pool, specs, args.k, cfg, seed=args.seed, jobs=jobs)
-    _write_all([(args.report_out, partial(write_cv_csv, report))])
-    for fold in range(report.k):
-        print(
-            f"fold {fold}: final_val_mae={report.per_fold_final_val_mae[fold]:.6f} "
-            f"best_val_mae={report.per_fold_best_val_mae[fold]:.6f}"
-        )
-    print(
-        f"mean_val_mae={report.mean_val_mae:.6f} std_val_mae={report.std_val_mae:.6f}"
-    )
+    histories = cross_validate(pool, specs, args.k, cfg, jobs=jobs)
+    _write_all([(args.report_out, partial(write_cv_csv, histories))])
+    labels, finals, bests = cv_table(histories)
+    for label, final, best in zip(labels[:-2], finals, bests):
+        print(f"fold {label}: final_val_mae={final:.6f} best_val_mae={best:.6f}")
+    print(f"mean_val_mae={finals[-2]:.6f} std_val_mae={finals[-1]:.6f}")
 
 
 def cmd_evaluate(args) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from .data import Normalizer, write_table
 from .errors import ConfigError, ModelFormatError, ShapeError
 from .network import LayerSpec, Network
-from .train import CVReport, RunHistory
+from .train import RunHistory
 
 MODEL_FORMAT_VERSION = 1
 
@@ -168,12 +168,16 @@ def write_history_csv(history: RunHistory, path) -> None:
     write_table(path, HISTORY_HEADER, "%d,%r,%r,%r,%r\n", columns)
 
 
-def write_cv_csv(report: CVReport, path) -> None:
-    """Per-fold CSV with trailing mean/std summary rows over both columns."""
-    scores = (report.per_fold_final_val_mae, report.per_fold_best_val_mae)
+def cv_table(histories) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Fold labels and final and best val MAE columns, then mean and std rows."""
+    scores = ([h.final.val_mae for h in histories], [h.best_val_mae() for h in histories])
     columns = [np.append(c, (np.mean(c), np.std(c))) for c in map(np.array, scores)]
-    labels = [*map(str, range(report.k)), "mean", "std"]
-    write_table(path, CV_HEADER, "%s,%r,%r\n", (labels, *columns))
+    return [*map(str, range(len(histories))), "mean", "std"], *columns
+
+
+def write_cv_csv(histories, path) -> None:
+    """cv_table's rows as a CSV under CV_HEADER."""
+    write_table(path, CV_HEADER, "%s,%r,%r\n", cv_table(histories))
 
 
 def write_gnuplot_script(history_csv_path: str, path) -> None:

@@ -1,10 +1,11 @@
 """Parameter update rules: plain SGD, RMSProp, and Adam.
 
-apply_update(state, net, grads, cfg, buffers=None) returns (net, state)
-and does one step in this order: it checks the gradient layout (a
-ShapeError leaves everything unchanged), takes two scratch vectors from
-a StepBuffers, bumps state.step, runs the rule named by cfg.kind, and
-bumps the network version counter so stale forward caches are refused.
+apply_update(state, net, grads, cfg, buffers=None) updates net and state
+in place, returns None, and does one step in this order: it checks the
+gradient layout (a ShapeError leaves everything unchanged), takes two
+scratch vectors from a StepBuffers, bumps state.step, runs the rule
+named by cfg.kind, and bumps the network version counter so stale
+forward caches are refused.
 Each rule, _sgd, _rmsprop and _adam, is only its formula:
 (cfg, state, w, g, s, t) updates the flat parameters w in place as a
 few whole-vector ufunc calls into the scratch vectors s and t, reading
@@ -124,7 +125,7 @@ def apply_update(
     grads: GradientSet,
     cfg: OptimizerConfig,
     buffers: StepBuffers | None = None,
-) -> tuple[Network, OptimizerState]:
+) -> None:
     """Apply one update by cfg.kind to net.flat in place.
 
     Raises ShapeError, before anything changes, when the gradient
@@ -139,4 +140,3 @@ def apply_update(
     state.step += 1
     _RULES[cfg.kind](cfg, state, net.flat, grads.flat, s, t)
     net.version += 1
-    return net, state

@@ -52,7 +52,7 @@ class TrainConfig:
     batch_size: int
     optimizer: OptimizerConfig
     reg: RegConfig
-    shuffle_seed: int
+    seed: int
     loss: str = "mse"
 
     def __post_init__(self):
@@ -64,7 +64,7 @@ class TrainConfig:
             raise ConfigError(
                 f"unknown loss {self.loss!r}, expected one of {LOSS_KINDS}"
             )
-        check_seed(self.shuffle_seed)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -90,16 +90,6 @@ class RunHistory:
         return float(min(e.val_mae for e in self.epochs))
 
 
-@dataclass(frozen=True)
-class CVReport:
-    k: int
-    per_fold_histories: tuple[RunHistory, ...]
-    per_fold_final_val_mae: tuple[float, ...]
-    per_fold_best_val_mae: tuple[float, ...]
-    mean_val_mae: float
-    std_val_mae: float
-
-
 def _check_finite(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise NumericError(f"non-finite {what} ({value!r}); training diverged")
@@ -113,20 +103,20 @@ def train_epoch(
     y: np.ndarray,
     cfg: TrainConfig,
     epoch: int = 0,
-) -> tuple[Network, OptimizerState, EpochMetrics]:
-    """One pass over all batches; returns size-weighted train metrics.
+) -> tuple[float, float]:
+    """One pass over all batches, updating net and opt_state in place.
 
-    The batch order and dropout masks come from the (shuffle_seed,
-    "shuffle", epoch) and (shuffle_seed, "dropout", epoch) streams, so
-    an epoch's streams do not depend on the epoch count. Every
-    batch's forward, backward and update reuse the arrays of one
-    StepBuffers, which is freed when the epoch ends, so it does not add
-    to the memory of fit's validation pass. Validation fields of the
-    returned metrics are NaN; fit() fills them in.
+    Returns the size-weighted (train_loss, train_mae) of the epoch. The
+    batch order and dropout masks come from the (cfg.seed, "shuffle",
+    epoch) and (cfg.seed, "dropout", epoch) streams, so an epoch's
+    streams do not depend on the epoch count. Every batch's forward,
+    backward and update reuse the arrays of one StepBuffers, which is
+    freed when the epoch ends, so it does not add to the memory of
+    fit's validation pass.
     """
     buffers = StepBuffers()
-    dropout_rng = substream(cfg.shuffle_seed, "dropout", epoch)
-    epoch_seed = derive_seed(cfg.shuffle_seed, "shuffle", epoch)
+    dropout_rng = substream(cfg.seed, "dropout", epoch)
+    epoch_seed = derive_seed(cfg.seed, "shuffle", epoch)
     loss_sum = 0.0
     mae_sum = 0.0
     for xb, yb in batch_iter(x, y, cfg.batch_size, shuffle_seed=epoch_seed):
@@ -138,16 +128,8 @@ def train_epoch(
         b = xb.shape[0]
         loss_sum += objective * b
         mae_sum += loss_mae(cache.pred, yb) * b
-        net, opt_state = apply_update(
-            opt_state, net, grads, cfg.optimizer, buffers=buffers
-        )
-    metrics = EpochMetrics(
-        train_loss=loss_sum / len(y),
-        train_mae=mae_sum / len(y),
-        val_loss=math.nan,
-        val_mae=math.nan,
-    )
-    return net, opt_state, metrics
+        apply_update(opt_state, net, grads, cfg.optimizer, buffers=buffers)
+    return loss_sum / len(y), mae_sum / len(y)
 
 
 def _validation_metrics(
@@ -167,8 +149,8 @@ def fit(
     x_val: np.ndarray,
     y_val: np.ndarray,
     cfg: TrainConfig,
-) -> tuple[Network, RunHistory]:
-    """Train for cfg.epochs epochs, recording one EpochMetrics per epoch.
+) -> RunHistory:
+    """Train net in place for cfg.epochs epochs, one EpochMetrics per epoch.
 
     A diverging run raises NumericError, so numpy's overflow and invalid
     value warnings are silenced here rather than by callers: an errstate
@@ -180,12 +162,10 @@ def fit(
     history = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            net, opt_state, train_metrics = train_epoch(
-                net, opt_state, x_train, y_train, cfg, epoch=epoch
-            )
-            val_loss, val_mae = _validation_metrics(net, x_val, y_val, cfg)
-            history.append(replace(train_metrics, val_loss=val_loss, val_mae=val_mae))
-    return net, RunHistory(epochs=tuple(history))
+            train = train_epoch(net, opt_state, x_train, y_train, cfg, epoch=epoch)
+            val = _validation_metrics(net, x_val, y_val, cfg)
+            history.append(EpochMetrics(*train, *val))
+    return RunHistory(epochs=tuple(history))
 
 
 def holdout(
@@ -197,17 +177,16 @@ def holdout(
 
 
 def fit_datasets(
-    specs, seed: int, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig
+    specs, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig
 ) -> tuple[Network, Normalizer, RunHistory]:
-    """Fit a network initialized from the (seed, "init") stream.
+    """Fit a network initialized from the (cfg.seed, "init") stream.
 
     Both splits are normalized by train_ds's statistics.
     """
     norm = fit_normalizer(train_ds)
     x_train, x_val = (apply_normalizer(norm, ds) for ds in (train_ds, val_ds))
-    net = init_network(specs, derive_seed(seed, "init"))
-    net, history = fit(net, x_train, train_ds.soc, x_val, val_ds.soc, cfg)
-    return net, norm, history
+    net = init_network(specs, derive_seed(cfg.seed, "init"))
+    return net, norm, fit(net, x_train, train_ds.soc, x_val, val_ds.soc, cfg)
 
 
 def _openblas_thread_fns():
@@ -267,49 +246,27 @@ def check_jobs(jobs: int) -> None:
 
 
 def cross_validate(
-    pool: Dataset,
-    specs,
-    k: int,
-    cfg: TrainConfig,
-    seed: int,
-    jobs: int = 1,
-) -> CVReport:
+    pool: Dataset, specs, k: int, cfg: TrainConfig, jobs: int = 1
+) -> tuple[RunHistory, ...]:
     """K-fold run: fresh seeded network per fold, normalizer refit per fold.
 
-    Rows are dealt to folds by the (seed, "folds") stream. Fold j runs
-    fit_datasets with the seed derive_seed(seed, "fold", j) and the
-    shuffle_seed derive_seed(cfg.shuffle_seed, "fold", j). The fold
-    score is the final-epoch validation MAE; the best epoch's value is
-    reported alongside. Folds are independent, so jobs > 1 runs them in
-    a thread pool, with the same scores. While the pool runs, OpenBLAS
-    gets cpu_count // workers threads per worker, at most its own
-    setting.
+    Returns the fold histories in fold order. Rows are dealt to folds by
+    the (cfg.seed, "folds") stream, and fold j runs fit_datasets with
+    cfg.seed replaced by derive_seed(cfg.seed, "fold", j). Folds are
+    independent, so they run in a pool of W = min(jobs, k) threads, with
+    the same histories for any W. While the pool runs, OpenBLAS gets
+    cpu_count // W threads per worker, at most its own setting.
     """
     check_jobs(jobs)
-    assignment = kfold_split(len(pool), k, derive_seed(seed, "folds"))
+    assignment = kfold_split(len(pool), k, derive_seed(cfg.seed, "folds"))
 
     def run_fold(j: int) -> RunHistory:
-        train_ds, val_ds = fold_datasets(pool, assignment, j)
-        fold_cfg = replace(cfg, shuffle_seed=derive_seed(cfg.shuffle_seed, "fold", j))
-        fold_seed = derive_seed(seed, "fold", j)
-        return fit_datasets(specs, fold_seed, train_ds, val_ds, fold_cfg)[2]
+        fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, "fold", j))
+        return fit_datasets(specs, *fold_datasets(pool, assignment, j), fold_cfg)[2]
 
-    if jobs > 1:
-        workers = min(jobs, k)
-        with _blas_threads_per_worker(workers), ThreadPoolExecutor(workers) as ex:
-            histories = list(ex.map(run_fold, range(k)))
-    else:
-        histories = [run_fold(j) for j in range(k)]
-    finals = tuple(h.final.val_mae for h in histories)
-    bests = tuple(h.best_val_mae() for h in histories)
-    return CVReport(
-        k=k,
-        per_fold_histories=tuple(histories),
-        per_fold_final_val_mae=finals,
-        per_fold_best_val_mae=bests,
-        mean_val_mae=float(np.mean(finals)),
-        std_val_mae=float(np.std(finals)),
-    )
+    workers = min(jobs, k)
+    with _blas_threads_per_worker(workers), ThreadPoolExecutor(workers) as ex:
+        return tuple(ex.map(run_fold, range(k)))
 
 
 def evaluate(net: Network, norm: Normalizer, test: Dataset) -> float:

@@ -19,6 +19,8 @@ from socdfn.data import CSV_HEADER, PREDICTION_HEADER, load_csv
 from socdfn.modelio import CV_HEADER, HISTORY_HEADER, load_model, save_model
 from socdfn.network import LayerSpec, Network
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 TRAIN_LINE = re.compile(
     r"^epochs=(\d+) train_mae=(\d+\.\d{6}) val_mae=(\d+\.\d{6}) "
     r"test_mae=(\d+\.\d{6})\s*$"
@@ -288,6 +290,31 @@ class TestTrain:
         assert code == 0, err
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert received == [regular.read_bytes()]
+
+    @pytest.mark.parametrize("outputs, named", [
+        (["--history-out", "x.csv", "--model-out", "x.csv"], "x.csv and x.csv"),
+        (["--save-train", "s.csv", "--save-val", "./s.csv"], "s.csv and ./s.csv"),
+        (["--history-out", "link.csv", "--model-out", "x.csv"], "link.csv and x.csv"),
+        (["--history-out", "h", "--emit-gnuplot", "--model-out", "h.gnuplot"],
+         "h.gnuplot and h.gnuplot"),
+    ], ids=["same-name", "dot-slash", "symlink", "gnuplot"])
+    def test_two_outputs_naming_one_file_is_exit_2(
+        self, tmp_path, monkeypatch, outputs, named
+    ):
+        # --data is missing, so exit 2 rather than 3 shows the check runs first.
+        monkeypatch.chdir(tmp_path)
+        Path("link.csv").symlink_to("x.csv")
+        code, _, err = run_cli(fast_train_args(tmp_path / "missing.csv", extra=outputs))
+        assert code == 2
+        assert err == f"error: outputs {named} are the same file\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "link.csv"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_special_file_may_be_named_twice(self, cycle_csv):
+        code, _, err = run_cli(fast_train_args(
+            cycle_csv, extra=["--history-out", "/dev/null", "--model-out", "/dev/null"]
+        ))
+        assert code == 0, err
 
     def test_odd_hidden_with_dropout_is_exit_2(self, cycle_csv):
         code, _, err = run_cli([
@@ -766,36 +793,24 @@ def test_split_and_fold_flags_are_checked_before_data_is_read(tmp_path, argv):
     assert err.startswith("error: ")
 
 
-def test_readme_library_snippet_is_the_train_command(tmp_path):
-    """README's "Library use" snippet is the run of `socdfn train --seed 0`."""
-    from socdfn.data import load_csv
-    from socdfn.network import RegConfig, make_specs
-    from socdfn.optimize import OptimizerConfig
-    from socdfn.train import TrainConfig, fit_datasets, holdout
-
-    cycle = tmp_path / "cycle.csv"
-    model = tmp_path / "model.json"
+def test_readme_library_snippet_is_the_train_command(tmp_path, monkeypatch):
+    """README's "Library use" snippet, run as written, is `socdfn train --seed 0`."""
+    (snippet,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["gen-data", "--out", "cycle.csv", "--duration", "600"])
+    assert code == 0, err
     code, _, err = run_cli(
-        ["gen-data", "--out", str(cycle), "--duration", "3000", "--seed", "0"]
+        ["train", "--data", "cycle.csv", "--seed", "0", "--model-out", "model.json"]
     )
     assert code == 0, err
-    code, _, err = run_cli(["train", "--data", str(cycle), "--epochs", "2",
-                            "--seed", "0", "--model-out", str(model)])
-    assert code == 0, err
-    cli_net, cli_norm, _ = load_model(model)
+    cli_net, cli_norm, _ = load_model("model.json")
 
-    dataset = load_csv(cycle)
-    assert len(dataset) == 3000
-    train, val, test = holdout(dataset, 0.8, 0.1, seed=0)
-    specs = make_specs(hidden=2, units=256, dropout=0.0)
-    cfg = TrainConfig(epochs=2, batch_size=128, optimizer=OptimizerConfig(),
-                      reg=RegConfig(), shuffle_seed=0)
-    net, norm, history = fit_datasets(specs, 0, train, val, cfg)
-
-    assert len(history) == 2
-    np.testing.assert_array_equal(net.flat, cli_net.flat)
-    np.testing.assert_array_equal(norm.mean, cli_norm.mean)
-    np.testing.assert_array_equal(norm.std, cli_norm.std)
+    namespace = {}
+    exec(snippet, namespace)
+    assert len(namespace["dataset"]) == 600
+    np.testing.assert_array_equal(namespace["net"].flat, cli_net.flat)
+    np.testing.assert_array_equal(namespace["norm"].mean, cli_norm.mean)
+    np.testing.assert_array_equal(namespace["norm"].std, cli_norm.std)
 
 
 @pytest.mark.parametrize("flags, optimizer", [
@@ -823,8 +838,8 @@ def test_optimizer_flags_reach_the_update_rule(tmp_path, flags, optimizer):
 
     train, val, _ = holdout(load_csv(cycle), 0.8, 0.1, seed=0)
     cfg = TrainConfig(epochs=2, batch_size=128, optimizer=OptimizerConfig(**optimizer),
-                      reg=RegConfig(), shuffle_seed=0)
-    net, _, _ = fit_datasets(make_specs(hidden=2, units=16, dropout=0.0), 0, train, val, cfg)
+                      reg=RegConfig(), seed=0)
+    net, _, _ = fit_datasets(make_specs(hidden=2, units=16, dropout=0.0), train, val, cfg)
     np.testing.assert_array_equal(net.flat, cli_net.flat)
 
 

@@ -21,7 +21,7 @@ from socdfn.modelio import (
 )
 from socdfn.network import init_network, make_specs, predict
 from socdfn.rng import make_rng
-from socdfn.train import CVReport, EpochMetrics, RunHistory
+from socdfn.train import EpochMetrics, RunHistory
 
 
 def example_model(seed=3, dropout=0.0, hidden=2):
@@ -326,18 +326,19 @@ class TestHistoryCsv:
         assert float(cells[3]) == math.sqrt(2.0)
 
 
+def fold_history(best, final):
+    """Two epochs whose val MAE falls to `best` and ends at `final`."""
+    return RunHistory(
+        epochs=(
+            EpochMetrics(train_loss=9.0, train_mae=3.0, val_loss=9.0, val_mae=best),
+            EpochMetrics(train_loss=8.0, train_mae=2.0, val_loss=8.0, val_mae=final),
+        )
+    )
+
+
 class TestCvCsv:
     def make_report(self):
-        finals = (2.0, 3.0, 4.0)
-        bests = (1.5, 2.5, 3.5)
-        return CVReport(
-            k=3,
-            per_fold_histories=(example_history(),) * 3,
-            per_fold_final_val_mae=finals,
-            per_fold_best_val_mae=bests,
-            mean_val_mae=float(np.mean(finals)),
-            std_val_mae=float(np.std(finals)),
-        )
+        return tuple(fold_history(b, f) for b, f in ((1.5, 2.0), (2.5, 3.0), (3.5, 4.0)))
 
     def test_layout_and_summary_rows(self, tmp_path):
         path = tmp_path / "cv.csv"

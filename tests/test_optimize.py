@@ -122,13 +122,6 @@ class TestSgd:
         apply_update(init_state(net), net, grad_of(0.1), OptimizerConfig(kind="sgd"))
         assert net.version == 1
 
-    def test_updates_in_place(self):
-        net = one_param_net()
-        state = init_state(net)
-        out = apply_update(state, net, grad_of(0.1), OptimizerConfig(kind="sgd"))
-        assert out[0] is net
-        assert out[1] is state
-
 
 class TestRmsprop:
     def test_first_step_closed_form(self):
@@ -420,7 +413,7 @@ class TestBufferedSteps:
                 )
                 grads, objective = backward(net, cache, y, reg, buffers=buffers)
                 objectives.append(objective)
-                net, state = apply_update(state, net, grads, cfg, buffers=buffers)
+                apply_update(state, net, grads, cfg, buffers=buffers)
             return net, state, objectives
 
         net_a, state_a, obj_a = three_steps(StepBuffers())

@@ -3,12 +3,13 @@
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import dataset_from_rows
 
-from socdfn.data import fit_normalizer, apply_normalizer
+from socdfn.data import apply_normalizer, fit_normalizer, fold_datasets, kfold_split
 from socdfn.errors import ConfigError, NumericError
 from socdfn.network import (
     LayerSpec,
@@ -25,13 +26,15 @@ from socdfn.network import (
 )
 from socdfn.optimize import OptimizerConfig, apply_update, init_state
 from socdfn import train
-from socdfn.rng import make_rng
+from socdfn.modelio import cv_table
+from socdfn.rng import derive_seed, make_rng
 from socdfn.train import (
-    CVReport,
+    RunHistory,
     TrainConfig,
     cross_validate,
     evaluate,
     fit,
+    fit_datasets,
     train_epoch,
 )
 
@@ -63,7 +66,7 @@ def small_cfg(**overrides):
         batch_size=32,
         optimizer=OptimizerConfig(kind="adam", learning_rate=0.01),
         reg=RegConfig(),
-        shuffle_seed=3,
+        seed=3,
     )
     base.update(overrides)
     return TrainConfig(**base)
@@ -89,7 +92,7 @@ class TestTrainConfig:
 
     def test_seed_checked(self):
         with pytest.raises(ConfigError):
-            small_cfg(shuffle_seed=-2)
+            small_cfg(seed=-2)
 
     def test_default_loss(self):
         assert small_cfg().loss == "mse"
@@ -135,29 +138,21 @@ class TestTrainEpoch:
             optimizer=OptimizerConfig(kind="sgd", learning_rate=0.0),
             reg=RegConfig(l2=0.01),
         )
-        _, _, metrics = train_epoch(net, init_state(net), x, y, cfg, epoch=0)
+        train_loss, train_mae = train_epoch(net, init_state(net), x, y, cfg, epoch=0)
         pred = predict(net, x)
         expect_loss = float(np.mean((pred - y) ** 2)) + penalty(net, cfg.reg)
         expect_mae = float(np.mean(np.abs(pred - y)))
-        np.testing.assert_allclose(metrics.train_loss, expect_loss, rtol=1e-12)
-        np.testing.assert_allclose(metrics.train_mae, expect_mae, rtol=1e-12)
+        np.testing.assert_allclose(train_loss, expect_loss, rtol=1e-12)
+        np.testing.assert_allclose(train_mae, expect_mae, rtol=1e-12)
 
     def test_zero_lr_metrics_identical_across_epochs(self):
         x, y = affine_batch(64, seed=5)
         net = init_network(make_specs(2, 8, 0.0), seed=2)
         cfg = small_cfg(optimizer=OptimizerConfig(kind="sgd", learning_rate=0.0))
         state = init_state(net)
-        _, _, m0 = train_epoch(net, state, x, y, cfg, epoch=0)
-        _, _, m1 = train_epoch(net, state, x, y, cfg, epoch=1)
-        np.testing.assert_allclose(m0.train_loss, m1.train_loss, rtol=1e-12)
-        np.testing.assert_allclose(m0.train_mae, m1.train_mae, rtol=1e-12)
-
-    def test_val_fields_left_nan(self):
-        x, y = affine_batch(32, seed=6)
-        net = init_network(make_specs(1, 4, 0.0), seed=0)
-        _, _, metrics = train_epoch(net, init_state(net), x, y, small_cfg())
-        assert math.isnan(metrics.val_loss)
-        assert math.isnan(metrics.val_mae)
+        m0 = train_epoch(net, state, x, y, cfg, epoch=0)
+        m1 = train_epoch(net, state, x, y, cfg, epoch=1)
+        np.testing.assert_allclose(m0, m1, rtol=1e-12)
 
     def test_divergence_raises_numeric_error(self):
         x, y = affine_batch(100, seed=1)
@@ -215,7 +210,7 @@ class TestFit:
         x, y = affine_batch(100, seed=1)
         xv, yv = affine_batch(20, seed=2)
         net = init_network(make_specs(1, 8, 0.0), seed=3)
-        _, hist = fit(net, x, y, xv, yv, small_cfg(epochs=4))
+        hist = fit(net, x, y, xv, yv, small_cfg(epochs=4))
         assert len(hist) == 4
         assert hist.final is hist.epochs[-1]
 
@@ -223,7 +218,7 @@ class TestFit:
         x, y = affine_batch(200, seed=77)
         xv, yv = affine_batch(40, seed=78)
         net = init_network(make_specs(2, 16, 0.0), seed=5)
-        _, hist = fit(net, x, y, xv, yv, small_cfg(epochs=5))
+        hist = fit(net, x, y, xv, yv, small_cfg(epochs=5))
         losses = [e.train_loss for e in hist.epochs]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -231,7 +226,7 @@ class TestFit:
         x, y = affine_batch(200, seed=77)
         xv, yv = affine_batch(40, seed=78)
         net = init_network(make_specs(2, 16, 0.0), seed=5)
-        _, hist = fit(net, x, y, xv, yv, small_cfg(epochs=8))
+        hist = fit(net, x, y, xv, yv, small_cfg(epochs=8))
         assert hist.final.train_mae < hist.epochs[0].train_mae / 2.0
 
     def test_val_metrics_are_finite_and_penalized(self):
@@ -239,7 +234,7 @@ class TestFit:
         xv, yv = affine_batch(20, seed=2)
         net = init_network(make_specs(1, 8, 0.0), seed=3)
         cfg = small_cfg(epochs=2, reg=RegConfig(l2=0.5))
-        net, hist = fit(net, x, y, xv, yv, cfg)
+        hist = fit(net, x, y, xv, yv, cfg)
         final = hist.final
         assert math.isfinite(final.val_loss)
         # Loss column carries the penalty, the MAE column does not.
@@ -272,7 +267,7 @@ class TestFit:
         hists = []
         for _ in range(2):
             net = init_network(make_specs(2, 8, 0.0), seed=9)
-            _, hist = fit(net, x, y, xv, yv, small_cfg(epochs=3))
+            hist = fit(net, x, y, xv, yv, small_cfg(epochs=3))
             hists.append(hist)
         assert hists[0].epochs == hists[1].epochs
 
@@ -280,10 +275,9 @@ class TestFit:
         x, y = affine_batch(100, seed=1)
         xv, yv = affine_batch(20, seed=2)
         finals = []
-        for shuffle_seed in (3, 4):
+        for seed in (3, 4):
             net = init_network(make_specs(2, 8, 0.0), seed=9)
-            _, hist = fit(net, x, y, xv, yv,
-                          small_cfg(epochs=3, shuffle_seed=shuffle_seed))
+            hist = fit(net, x, y, xv, yv, small_cfg(epochs=3, seed=seed))
             finals.append(hist.final.train_loss)
         assert finals[0] != finals[1]
 
@@ -294,7 +288,7 @@ class TestFit:
         hists = []
         for _ in range(2):
             net = init_network(specs, seed=9)
-            _, hist = fit(net, x, y, xv, yv, small_cfg(epochs=3))
+            hist = fit(net, x, y, xv, yv, small_cfg(epochs=3))
             hists.append(hist)
         assert hists[0].epochs == hists[1].epochs
 
@@ -302,7 +296,7 @@ class TestFit:
         x, y = affine_batch(100, seed=1)
         xv, yv = affine_batch(20, seed=2)
         net = init_network(make_specs(1, 8, 0.0), seed=3)
-        _, hist = fit(net, x, y, xv, yv, small_cfg(epochs=3, loss="mae"))
+        hist = fit(net, x, y, xv, yv, small_cfg(epochs=3, loss="mae"))
         # In MAE mode the unpenalized loss column equals the MAE column
         # on the validation side.
         np.testing.assert_allclose(
@@ -315,7 +309,7 @@ class TestRunHistoryHelpers:
         x, y = affine_batch(100, seed=1)
         xv, yv = affine_batch(20, seed=2)
         net = init_network(make_specs(1, 8, 0.0), seed=3)
-        _, hist = fit(net, x, y, xv, yv, small_cfg(epochs=4))
+        hist = fit(net, x, y, xv, yv, small_cfg(epochs=4))
         assert hist.best_val_mae() == min(e.val_mae for e in hist.epochs)
 
 
@@ -323,49 +317,58 @@ class TestCrossValidate:
     def run_cv(self, k=4, jobs=1, seed=15, n=80):
         pool = affine_dataset(n, seed=21)
         specs = make_specs(hidden=1, units=8, dropout=0.0)
-        cfg = small_cfg(epochs=2, batch_size=16)
-        return cross_validate(pool, specs, k, cfg, seed=seed, jobs=jobs)
+        cfg = small_cfg(epochs=2, batch_size=16, seed=seed)
+        return cross_validate(pool, specs, k, cfg, jobs=jobs)
 
     def test_report_shape(self):
-        report = self.run_cv(k=4)
-        assert isinstance(report, CVReport)
-        assert report.k == 4
-        assert len(report.per_fold_histories) == 4
-        assert len(report.per_fold_final_val_mae) == 4
-        assert len(report.per_fold_best_val_mae) == 4
+        histories = self.run_cv(k=4)
+        assert len(histories) == 4
+        assert all(isinstance(h, RunHistory) and len(h) == 2 for h in histories)
 
     def test_mean_and_std_match_fold_scores(self):
-        report = self.run_cv(k=4)
-        finals = np.array(report.per_fold_final_val_mae)
-        np.testing.assert_allclose(report.mean_val_mae, finals.mean(), rtol=1e-15)
-        np.testing.assert_allclose(report.std_val_mae, finals.std(), rtol=1e-15)
+        histories = self.run_cv(k=4)
+        labels, finals, bests = cv_table(histories)
+        assert labels == ["0", "1", "2", "3", "mean", "std"]
+        assert finals[:4].tolist() == [h.final.val_mae for h in histories]
+        assert bests[:4].tolist() == [h.best_val_mae() for h in histories]
+        for column in (finals, bests):
+            np.testing.assert_allclose(column[4], column[:4].mean(), rtol=1e-15)
+            np.testing.assert_allclose(column[5], column[:4].std(), rtol=1e-15)
 
     def test_best_not_worse_than_final(self):
-        report = self.run_cv(k=4)
-        for best, final in zip(
-            report.per_fold_best_val_mae, report.per_fold_final_val_mae
-        ):
-            assert best <= final + 1e-15
+        for h in self.run_cv(k=4):
+            assert h.best_val_mae() <= h.final.val_mae + 1e-15
 
     def test_eight_folds(self):
-        report = self.run_cv(k=8)
-        assert report.k == 8
-        assert len(report.per_fold_final_val_mae) == 8
+        assert len(self.run_cv(k=8)) == 8
 
     def test_deterministic(self):
         a = self.run_cv(k=4)
         b = self.run_cv(k=4)
-        assert a.per_fold_final_val_mae == b.per_fold_final_val_mae
+        assert [h.epochs for h in a] == [h.epochs for h in b]
 
     def test_threaded_run_matches_serial(self):
         serial = self.run_cv(k=4, jobs=1)
         threaded = self.run_cv(k=4, jobs=4)
-        assert serial.per_fold_final_val_mae == threaded.per_fold_final_val_mae
-        assert serial.mean_val_mae == threaded.mean_val_mae
+        assert [h.epochs for h in serial] == [h.epochs for h in threaded]
 
     def test_folds_are_distinct_runs(self):
-        report = self.run_cv(k=4)
-        assert len(set(report.per_fold_final_val_mae)) > 1
+        histories = self.run_cv(k=4)
+        assert len({h.final.val_mae for h in histories}) > 1
+
+    def test_fold_j_is_fit_datasets_on_its_documented_keys(self):
+        # README's stream table: folds are dealt by (seed, "folds"), and
+        # fold j is a train run whose seed is derive_seed(seed, "fold", j).
+        pool = affine_dataset(80, seed=21)
+        specs = make_specs(hidden=2, units=8, dropout=0.5)
+        cfg = small_cfg(epochs=2, batch_size=16, seed=15)
+        histories = cross_validate(pool, specs, 4, cfg, jobs=2)
+        assignment = kfold_split(len(pool), 4, derive_seed(cfg.seed, "folds"))
+        for j, history in enumerate(histories):
+            fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, "fold", j))
+            train_ds, val_ds = fold_datasets(pool, assignment, j)
+            expect = fit_datasets(specs, train_ds, val_ds, fold_cfg)[2]
+            assert history.epochs == expect.epochs
 
 
 _OPENBLAS = train._openblas_thread_fns()
@@ -396,8 +399,7 @@ class TestBlasThreadsPerWorker:
         before = get_threads()
         pool = affine_dataset(80, seed=21)
         specs = make_specs(hidden=1, units=8, dropout=0.0)
-        cross_validate(pool, specs, 4, small_cfg(epochs=1, batch_size=16),
-                       seed=15, jobs=2)
+        cross_validate(pool, specs, 4, small_cfg(epochs=1, batch_size=16), jobs=2)
         assert seen == [max(1, os.cpu_count() // 2)] * 4
         assert get_threads() == before
 
@@ -407,8 +409,7 @@ class TestBlasThreadsPerWorker:
         before = get_threads()
         pool = affine_dataset(40, seed=21)
         specs = make_specs(hidden=1, units=8, dropout=0.0)
-        cross_validate(pool, specs, 2, small_cfg(epochs=1, batch_size=16),
-                       seed=15, jobs=1)
+        cross_validate(pool, specs, 2, small_cfg(epochs=1, batch_size=16), jobs=1)
         assert seen == [before] * 2
 
     # The overflow warnings come from the fold threads, where an
@@ -423,7 +424,7 @@ class TestBlasThreadsPerWorker:
         specs = make_specs(hidden=2, units=16, dropout=0.0)
         cfg = small_cfg(optimizer=OptimizerConfig(kind="sgd", learning_rate=1e12))
         with pytest.raises(NumericError, match="diverged"):
-            cross_validate(pool, specs, 2, cfg, seed=15, jobs=2)
+            cross_validate(pool, specs, 2, cfg, jobs=2)
         assert seen == [max(1, os.cpu_count() // 2)] * 2
         assert get_threads() == before
 
@@ -436,8 +437,7 @@ class TestBlasThreadsPerWorker:
         try:
             pool = affine_dataset(80, seed=21)
             specs = make_specs(hidden=1, units=8, dropout=0.0)
-            cross_validate(pool, specs, 4, small_cfg(epochs=1, batch_size=16),
-                           seed=15, jobs=2)
+            cross_validate(pool, specs, 4, small_cfg(epochs=1, batch_size=16), jobs=2)
             assert get_threads() == 1
         finally:
             set_threads(before)

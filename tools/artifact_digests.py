@@ -10,24 +10,26 @@ diff the two listings:
 
 For each seed it runs `gen-data`, also on a cycle too short for a
 discharge pulse; `train` with both presets (paper-2h also with
---emit-gnuplot), sgd, rmsprop, --l1/--l2, dropout with --loss mae,
---no-shuffle, --batch 96, whose 6400-row training split ends each
-epoch on a short batch of 64 rows (6400 = 66 x 96 + 64) where the other
-runs' batches of 128 divide it, rmsprop with a non-default --rho and
---epsilon, and adam with non-default --beta1, --beta2 and --lr, so a
-flag that reached the wrong hyperparameter would change a digest; `crossval --k 4` with --jobs 1 and 2;
-`predict` on the labeled cycle and on a four-column feature CSV made by
-dropping its soc_pct column; and `evaluate`. It also runs `gen-data`,
-`predict` and `evaluate` on a 16385-row cycle, which `predict` cuts into
-17 unequal inference blocks of 963-964 rows that share one set of
-buffers. That cycle is 4 x 4096 + 1 steps, so `gen-data` steps its
-thermal lag as four full `battsim.LAG_CHUNK_STEPS` chunks and a last
-chunk of one step. It prints one `sha256  name` line per output file
-and per stdout, sorted by name.
+--emit-gnuplot, --save-train and --save-val), sgd, rmsprop, --l1/--l2,
+dropout with --loss mae, --no-shuffle, --batch 96, whose 6400-row
+training split ends each epoch on a short batch of 64 rows
+(6400 = 66 x 96 + 64) where the other runs' batches of 128 divide it,
+rmsprop with a non-default --rho and --epsilon, and adam with
+non-default --beta1, --beta2 and --lr, so a flag that reached the wrong
+hyperparameter would change a digest; `crossval --k 4` with
+paper-4h-dropout at --jobs 1 and 2, and with paper-2h and --no-shuffle,
+whose pool is the file's first rows in order; `predict` on the labeled cycle and on a four-column
+feature CSV made by dropping its soc_pct column; and `evaluate`. It also
+runs `gen-data`, `predict` and `evaluate` on a 16385-row cycle, which
+`predict` cuts into 17 unequal inference blocks of 963-964 rows that
+share one set of buffers. That cycle is 4 x 4096 + 1 steps, so
+`gen-data` steps its thermal lag as four full `battsim.LAG_CHUNK_STEPS`
+chunks and a last chunk of one step. It prints one `sha256  name` line
+per output file and per stdout, sorted by name.
 Every command runs in the same temporary directory with bare relative
 file names, because the model's meta and the gen-data and predict
 stdout echo the paths they were given. A command that exits non-zero
-stops the script with its stderr. One run takes about 40 s on a
+stops the script with its stderr. One run takes about 50 s on a
 2-CPU machine.
 """
 
@@ -47,10 +49,11 @@ SHORT_CYCLE_SECONDS = 120  # under 150 steps, so the cycle has no discharge puls
 # thermal lag of four 4096-step chunks and a one-step chunk.
 BLOCKS_CYCLE_SECONDS = 16385
 
-# name -> extra train flags. Every run also writes a model, a history and
-# its test split.
+# name -> extra train flags, where {out} is the run's file-name stem. Every
+# run also writes a model, a history and its test split.
 TRAIN_RUNS = {
-    "2h": ["--preset", "paper-2h", "--emit-gnuplot"],
+    "2h": ["--preset", "paper-2h", "--emit-gnuplot", "--save-train", "{out}-train.csv",
+           "--save-val", "{out}-val.csv"],
     "4h-dropout": ["--preset", "paper-4h-dropout"],
     "sgd": ["--preset", "paper-2h", "--optimizer", "sgd"],
     "rmsprop": ["--preset", "paper-2h", "--optimizer", "rmsprop"],
@@ -87,6 +90,7 @@ def run_seed(src: Path, workdir: Path, seed: int) -> None:
     common = ["--data", f"{s}-cycle.csv", "--epochs", str(EPOCHS), "--seed", str(seed)]
     for name, flags in TRAIN_RUNS.items():
         out = f"{s}-train-{name}"
+        flags = [flag.format(out=out) for flag in flags]
         run(src, workdir, ["train", *common, *flags, "--model-out", f"{out}.json",
                            "--history-out", f"{out}-history.csv",
                            "--save-test", f"{out}-test.csv"], f"{out}.stdout")
@@ -95,6 +99,9 @@ def run_seed(src: Path, workdir: Path, seed: int) -> None:
         run(src, workdir, ["crossval", *common, "--k", "4", "--preset",
                            "paper-4h-dropout", "--jobs", str(jobs),
                            "--report-out", f"{out}.csv"], f"{out}.stdout")
+    out = f"{s}-crossval-no-shuffle"
+    run(src, workdir, ["crossval", *common, "--k", "4", "--preset", "paper-2h",
+                       "--no-shuffle", "--report-out", f"{out}.csv"], f"{out}.stdout")
     model = f"{s}-train-2h.json"
     run(src, workdir, ["predict", "--model", model, "--data", f"{s}-cycle.csv",
                        "--out", f"{s}-predictions.csv"], f"{s}-predict.stdout")
