@@ -174,8 +174,9 @@ def cmd_gen_data(args) -> None:
         regen_fraction=args.regen_fraction,
         seed=args.seed,
     )
+    plan = _plan_outputs([], [args.out])
     dataset = synth_dataset(cell, cycle, soc0_pct=args.soc0)
-    _write_all([(args.out, partial(write_csv, dataset))])
+    _write_all(plan, [partial(write_csv, dataset)])
     print(f"wrote {len(dataset)} rows to {args.out}")
 
 
@@ -195,34 +196,53 @@ def _setup(args):
     return arch, specs, cfg, splits
 
 
-def _write_all(outputs) -> None:
-    """Call write(file) for each (path, write) pair, all or none.
+def _plan_outputs(inputs, outputs) -> list:
+    """(path, target) per output, checked before any input is read.
 
-    Pairs without a path are skipped. Each path is classified as given,
-    following links: an existing special file (a FIFO, a device, a piped
-    /dev/stdout) is written in place, and a new or regular file is written
-    to a temporary sibling of its resolved path, so a symlink is kept. The
-    in-place writes run only after every temporary write has succeeded,
-    and each temporary file is moved onto its target only after that, so
-    a failed write leaves no new file and keeps every existing one. An
-    error names the path as given.
+    target is the resolved path of a new or regular file, or None for an
+    unnamed output or an existing special file (a FIFO, a device, a piped
+    /dev/stdout), which may repeat. A directory or a missing parent raises
+    the OS error; a clash with an input or an earlier output, ConfigError.
+    """
+    # Each resolved path -> the start of the message a clash with it prints.
+    seen = {os.path.realpath(p): f"input {p} and output" for p in inputs}
+    plan = []
+    for path in outputs:
+        target = None
+        if path and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if path and (os.path.isfile(path) or not os.path.exists(path)):
+            target = os.path.realpath(path)
+            if target in seen:
+                raise ConfigError(f"{seen[target]} {path} are the same file")
+            seen[target] = f"outputs {path} and"
+            try:
+                os.stat(os.path.join(os.path.dirname(target), ""))
+            except OSError as e:
+                raise OSError(e.errno, e.strerror, path) from None
+        plan.append((path, target))
+    return plan
+
+
+def _write_all(plan, writes) -> None:
+    """Call write(file) for each planned (path, target) and write, all or none.
+
+    Each target is written to a temporary sibling, so a symlink is kept.
+    Special files are written in place after every temporary write has
+    succeeded, and each temporary file is moved onto its target only after
+    that, so a failed write leaves no new file and keeps every existing one.
     """
     staged, in_place = [], []
     try:
-        for path, write in outputs:
-            if not path:
-                continue
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            if os.path.exists(path) and not os.path.isfile(path):
+        for (path, target), write in zip(plan, writes):
+            if path and not target:
                 in_place.append((path, write))
-                continue
-            target = os.path.realpath(path)
-            staged.append((f"{target}.{os.getpid()}-{len(staged)}.tmp", target))
-            try:
-                write(staged[-1][0])
-            except OSError as e:
-                raise OSError(e.errno, e.strerror, path) from None
+            elif path:
+                staged.append((f"{target}.{os.getpid()}-{len(staged)}.tmp", target))
+                try:
+                    write(staged[-1][0])
+                except OSError as e:
+                    raise OSError(e.errno, e.strerror, path) from None
         for path, write in in_place:
             write(path)
         for tmp, target in staged:
@@ -233,26 +253,14 @@ def _write_all(outputs) -> None:
                 os.remove(tmp)
 
 
-def _check_distinct(paths) -> None:
-    """ConfigError when two outputs resolve to one file; special files may repeat."""
-    seen = {}
-    for path in paths:
-        if path and not (os.path.exists(path) and not os.path.isfile(path)):
-            target = os.path.realpath(path)
-            if target in seen:
-                raise ConfigError(f"outputs {seen[target]} and {path} are the same file")
-            seen[target] = path
-
-
 def cmd_train(args) -> None:
     if args.emit_gnuplot and not args.history_out:
         raise ConfigError("--emit-gnuplot needs --history-out")
     gnuplot_out = args.emit_gnuplot and f"{args.history_out}.gnuplot"
-    paths = (
+    plan = _plan_outputs([args.data], [
         args.save_train, args.save_val, args.save_test, args.history_out, gnuplot_out,
         args.model_out,
-    )
-    _check_distinct(paths)
+    ])
     arch, specs, cfg, (train_ds, val_ds, test_ds) = _setup(args)
     logger.info(
         "training %d epochs on %d rows (val %d, test %d)",
@@ -260,14 +268,14 @@ def cmd_train(args) -> None:
     )
     net, norm, history = fit_datasets(specs, train_ds, val_ds, cfg)
     test_mae = evaluate(net, norm, test_ds)
-    _write_all(zip(paths, (
+    _write_all(plan, [
         partial(write_csv, train_ds),
         partial(write_csv, val_ds),
         partial(write_csv, test_ds),
         partial(write_history_csv, history),
         partial(write_gnuplot_script, args.history_out),
         partial(save_model, net, norm, meta=_meta(args, arch)),
-    )))
+    ])
     final = history.final
     print(
         f"epochs={cfg.epochs} train_mae={final.train_mae:.6f} "
@@ -279,10 +287,11 @@ def cmd_crossval(args) -> None:
     check_fold_count(args.k)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     check_jobs(jobs)
+    plan = _plan_outputs([args.data], [args.report_out])
     _, specs, cfg, (train_ds, val_ds, _) = _setup(args)
     pool = concat_datasets(train_ds, val_ds)
     histories = cross_validate(pool, specs, args.k, cfg, jobs=jobs)
-    _write_all([(args.report_out, partial(write_cv_csv, histories))])
+    _write_all(plan, [partial(write_cv_csv, histories)])
     labels, finals, bests = cv_table(histories)
     for label, final, best in zip(labels[:-2], finals, bests):
         print(f"fold {label}: final_val_mae={final:.6f} best_val_mae={best:.6f}")
@@ -296,10 +305,11 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_predict(args) -> None:
+    plan = _plan_outputs([args.model, args.data], [args.out])
     net, norm, _ = load_model(args.model)
     dataset = load_features_csv(args.data)
     soc = predict_soc(net, norm, dataset)
-    _write_all([(args.out, partial(write_predictions_csv, dataset.t, soc))])
+    _write_all(plan, [partial(write_predictions_csv, dataset.t, soc)])
     print(f"wrote {len(soc)} predictions to {args.out}")
 
 

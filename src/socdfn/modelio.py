@@ -17,11 +17,12 @@ import numpy as np
 from .data import Normalizer, write_table
 from .errors import ConfigError, ModelFormatError, ShapeError
 from .network import LayerSpec, Network
-from .train import RunHistory
+from .train import EpochMetrics, RunHistory
 
 MODEL_FORMAT_VERSION = 1
 
-HISTORY_HEADER = "epoch,train_loss,train_mae,val_loss,val_mae"
+_METRICS = tuple(f.name for f in dataclasses.fields(EpochMetrics))
+HISTORY_HEADER = ",".join(("epoch", *_METRICS))
 CV_HEADER = "fold,final_val_mae,best_val_mae"
 
 
@@ -54,10 +55,7 @@ def save_model(net: Network, norm: Normalizer, path, meta: dict | None = None) -
         "layers": [dataclasses.asdict(s) for s in net.layers],
         "weights": [_encode_array(w) for w in net.weights],
         "biases": [_encode_array(b) for b in net.biases],
-        "normalizer": {
-            "mean": _encode_array(norm.mean),
-            "std": _encode_array(norm.std),
-        },
+        "normalizer": {k: _encode_array(v) for k, v in dataclasses.asdict(norm).items()},
         "meta": meta or {},
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -71,14 +69,6 @@ def _require(doc: dict, key: str, kind: type = object):
     if not isinstance(doc[key], kind):
         raise ModelFormatError(f"model file key {key!r} is not a {kind.__name__}")
     return doc[key]
-
-
-def _layer_field(layer: dict, key: str, kind, what: str):
-    """layer[key] if it is an instance of kind; JSON true/false never are."""
-    value = layer[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{key} {value!r} is not {what}")
-    return value
 
 
 def load_model(path) -> tuple[Network, Normalizer, dict]:
@@ -114,17 +104,10 @@ def load_model(path) -> tuple[Network, Normalizer, dict]:
         raise ModelFormatError("model file declares no layers")
     try:
         specs = tuple(
-            LayerSpec(
-                in_dim=_layer_field(d, "in_dim", int, "an integer"),
-                out_dim=_layer_field(d, "out_dim", int, "an integer"),
-                activation=_layer_field(d, "activation", str, "a string"),
-                dropout_after=float(
-                    _layer_field(d, "dropout_after", (int, float), "a number")
-                ),
-            )
+            LayerSpec(**{f.name: d[f.name] for f in dataclasses.fields(LayerSpec)})
             for d in layer_docs
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ConfigError) as e:
         raise ModelFormatError(f"bad layer spec in model file: {e}") from None
     weight_texts = _require(doc, "weights", list)
     bias_texts = _require(doc, "biases", list)
@@ -143,10 +126,10 @@ def load_model(path) -> tuple[Network, Normalizer, dict]:
         biases.append(_decode_array(bias_texts[i], spec.out_dim, f"layer {i} biases"))
     norm_doc = _require(doc, "normalizer", dict)
     in_dim = specs[0].in_dim
-    norm = Normalizer(
-        mean=_decode_array(norm_doc.get("mean", ""), in_dim, "normalizer mean"),
-        std=_decode_array(norm_doc.get("std", ""), in_dim, "normalizer std"),
-    )
+    norm = Normalizer(**{
+        f.name: _decode_array(norm_doc.get(f.name, ""), in_dim, f"normalizer {f.name}")
+        for f in dataclasses.fields(Normalizer)
+    })
     if not np.all(norm.std > 0.0):
         raise ModelFormatError("normalizer std entries must be positive")
     try:
@@ -161,11 +144,9 @@ def load_model(path) -> tuple[Network, Normalizer, dict]:
 
 def write_history_csv(history: RunHistory, path) -> None:
     """Learning-curve CSV, one row per epoch, epochs numbered from 1."""
-    metrics = np.array(
-        [(e.train_loss, e.train_mae, e.val_loss, e.val_mae) for e in history.epochs]
-    )
+    metrics = np.array([dataclasses.astuple(e) for e in history.epochs])
     columns = (range(1, len(history) + 1), *metrics.T)
-    write_table(path, HISTORY_HEADER, "%d,%r,%r,%r,%r\n", columns)
+    write_table(path, HISTORY_HEADER, "%d" + ",%r" * len(_METRICS) + "\n", columns)
 
 
 def cv_table(histories) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -9,11 +9,11 @@ plus L1/L2 penalties on weights only; biases are never penalized and the
 L1 subgradient at exactly zero is taken as zero.
 """
 
-# Keeps forward's np.random.Generator annotation from loading numpy.random.
+# Annotations stay strings: forward's loads no numpy.random; LayerSpec checks by them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +27,9 @@ LOSS_KINDS = ("mse", "mae")
 # a layer array stays in cache from its matrix product through the bias
 # add and the ReLU.
 INFERENCE_BLOCK_ROWS = 1024
+# The types each LayerSpec annotation admits, and their name; bool never is.
+_FIELD_TYPES = {"int": (int, "an integer"), "str": (str, "a string"),
+                "float": ((int, float), "a number")}
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,11 @@ class LayerSpec:
     dropout_after: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            kinds, what = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{f.name} {value!r} is not {what}")
         if self.in_dim < 1 or self.out_dim < 1:
             raise ConfigError(
                 f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}"
@@ -50,6 +58,7 @@ class LayerSpec:
             raise ConfigError(
                 f"dropout_after must be in [0, 1), got {self.dropout_after}"
             )
+        object.__setattr__(self, "dropout_after", float(self.dropout_after))
 
 
 @dataclass(frozen=True)
@@ -82,7 +91,7 @@ class Network:
     layers: tuple[LayerSpec, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    version: int = 0
+    version: int = field(default=0, init=False)
     flat: np.ndarray = field(init=False, repr=False)
     layout: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 

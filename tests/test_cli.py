@@ -716,6 +716,59 @@ def test_bad_path_is_error_without_output(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+# (argv, the clashing paths as the error names them): each run names an
+# input as one of its outputs, as given, through ./ or through a symlink.
+INPUT_CLASHES = [
+    (["predict", "--model", "m.json", "--data", "c.csv", "--out", "m.json"],
+     "input m.json and output m.json"),
+    (["predict", "--model", "m.json", "--data", "c.csv", "--out", "./c.csv"],
+     "input c.csv and output ./c.csv"),
+    (["crossval", "--data", "c.csv", "--k", "2", "--epochs", "1", "--report-out", "c.csv"],
+     "input c.csv and output c.csv"),
+    (["train", "--data", "c.csv", "--epochs", "1", "--save-train", "link.csv"],
+     "input c.csv and output link.csv"),
+    (["train", "--data", "link.csv", "--epochs", "1", "--model-out", "c.csv"],
+     "input link.csv and output c.csv"),
+]
+
+
+@pytest.mark.parametrize("argv, named", INPUT_CLASHES, ids=[
+    "predict-out-model", "predict-out-data-dot-slash", "crossval-report-out",
+    "train-save-train-symlink", "train-model-out-data-symlink",
+])
+def test_output_naming_an_input_is_exit_2(
+    trained, cycle_csv, tmp_path, monkeypatch, argv, named
+):
+    monkeypatch.chdir(tmp_path)
+    inputs = {Path("c.csv"): cycle_csv.read_bytes(), Path("m.json"): trained[0].read_bytes()}
+    for path, data in inputs.items():
+        path.write_bytes(data)
+    Path("link.csv").symlink_to("c.csv")
+    before = sorted(tmp_path.iterdir())
+    code, _, err = run_cli(argv)
+    assert code == 2
+    assert err == f"error: {named} are the same file\n"
+    assert {path: path.read_bytes() for path in inputs} == inputs
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("out, error", [
+    ("a-dir", "[Errno 21] Is a directory: 'a-dir'"),
+    ("no-such-dir/m.json", "[Errno 2] No such file or directory: 'no-such-dir/m.json'"),
+], ids=["directory", "missing-parent"])
+def test_unwritable_model_out_is_exit_3_before_data_is_read(
+    tmp_path, monkeypatch, out, error
+):
+    # --data is malformed, so exit 3 rather than 4 shows the check runs first.
+    monkeypatch.chdir(tmp_path)
+    Path("a-dir").mkdir()
+    Path("bad.csv").write_text("time,v,i,temp,soc\n0,4.2,0,25,50\n")
+    code, _, err = run_cli(["train", "--data", "bad.csv", "--epochs", "1", "--model-out", out])
+    assert code == 3
+    assert err == f"error: {error}\n"
+    assert list(Path("a-dir").iterdir()) == []
+
+
 # (subcommand, output flag, first line of that output): one per subcommand
 # that writes a file, each through the same write path.
 WRITTEN_OUTPUTS = [

@@ -276,6 +276,16 @@ class TestLoadModelErrors:
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
+    def test_huge_integer_dropout_is_out_of_range(self, tmp_path):
+        # The range check comes before the float conversion, which would
+        # overflow.
+        path = self.write_doc(
+            tmp_path, lambda d: d["layers"][0].update(dropout_after=10**400)
+        )
+        with pytest.raises(ModelFormatError, match=r"bad layer spec in model file: "
+                           r"dropout_after must be in \[0, 1\), got 1000"):
+            load_model(path)
+
     def test_missing_meta_loads_as_empty(self, tmp_path):
         path = self.write_doc(tmp_path, lambda d: d.pop("meta"))
         assert load_model(path)[2] == {}

@@ -92,6 +92,27 @@ class TestNetworkValidation:
         with pytest.raises(ConfigError):
             LayerSpec(2, 2, "tanh")
 
+    @pytest.mark.parametrize("field, message", [
+        ({"in_dim": True}, "in_dim True is not an integer"),
+        ({"out_dim": 3.0}, "out_dim 3.0 is not an integer"),
+        ({"activation": ["relu"]}, r"activation \['relu'\] is not a string"),
+        ({"dropout_after": "0"}, "dropout_after '0' is not a number"),
+        ({"dropout_after": False}, "dropout_after False is not a number"),
+    ], ids=["bool-dim", "float-dim", "list-activation", "string-dropout", "bool-dropout"])
+    def test_field_of_wrong_type(self, field, message):
+        # The same words a model file with such a layer record is refused with.
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            LayerSpec(**{"in_dim": 3, "out_dim": 4, **field})
+
+    def test_integer_dropout_is_stored_as_float(self):
+        dropout = LayerSpec(3, 4, dropout_after=0).dropout_after
+        assert type(dropout) is float and dropout == 0.0
+
+    def test_version_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError, match="version"):
+            Network(layers=(LayerSpec(1, 1, "linear"),), weights=[np.zeros((1, 1))],
+                    biases=[np.zeros(1)], version=3)
+
     def test_flat_holds_every_parameter(self):
         net = init_network(make_specs(2, 4, 0.0), seed=0)
         # 3*4 + 4 + 4*4 + 4 + 4*1 + 1

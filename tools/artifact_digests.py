@@ -16,7 +16,9 @@ training split ends each epoch on a short batch of 64 rows
 (6400 = 66 x 96 + 64) where the other runs' batches of 128 divide it,
 rmsprop with a non-default --rho and --epsilon, and adam with
 non-default --beta1, --beta2 and --lr, so a flag that reached the wrong
-hyperparameter would change a digest; `crossval --k 4` with
+hyperparameter would change a digest, and one 64-unit dense layer with
+dropout 0.25, a width and a rate that no preset writes into a model
+file's layer records; `crossval --k 4` with
 paper-4h-dropout at --jobs 1 and 2, and with paper-2h and --no-shuffle,
 whose pool is the file's first rows in order; `predict` on the labeled cycle and on a four-column
 feature CSV made by dropping its soc_pct column; and `evaluate`. It also
@@ -66,6 +68,7 @@ TRAIN_RUNS = {
                       "--epsilon", "1e-6"],
     "adam-hyper": ["--preset", "paper-2h", "--beta1", "0.8", "--beta2", "0.99",
                    "--lr", "2e-3"],
+    "dropout-025": ["--hidden", "2", "--units", "64", "--dropout", "0.25"],
 }
 
 
