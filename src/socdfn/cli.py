@@ -276,7 +276,7 @@ def cmd_train(args) -> None:
         partial(write_gnuplot_script, args.history_out),
         partial(save_model, net, norm, meta=_meta(args, arch)),
     ])
-    final = history.final
+    final = history[-1]
     print(
         f"epochs={cfg.epochs} train_mae={final.train_mae:.6f} "
         f"val_mae={final.val_mae:.6f} test_mae={test_mae:.6f}"

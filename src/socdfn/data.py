@@ -9,6 +9,7 @@ stays in SOC percent, never normalized, so reported errors are directly
 in percentage points.
 """
 
+import dataclasses
 import math
 from array import array
 from dataclasses import dataclass
@@ -19,16 +20,12 @@ import numpy as np
 from .errors import ConfigError, DataError, DegenerateFeatureError, ShapeError
 from .rng import check_seed, make_rng
 
-CSV_HEADER = "t_s,voltage_v,current_a,temp_c,soc_pct"
-FEATURES_HEADER = "t_s,voltage_v,current_a,temp_c"
+# CSV column names, in the order of Dataset's fields.
+_CSV_FIELDS = ("t_s", "voltage_v", "current_a", "temp_c", "soc_pct")
+CSV_HEADER = ",".join(_CSV_FIELDS)
+FEATURES_HEADER = ",".join(_CSV_FIELDS[:4])
 PREDICTION_HEADER = "t_s,soc_pred_pct"
-FEATURE_NAMES = ("voltage_v", "current_a", "temp_c")
-# Dataset column attributes, in CSV column order.
-COLUMNS = ("t", "voltage", "current", "temperature", "soc")
-_CSV_FIELDS = tuple(CSV_HEADER.split(","))
-# Header line -> fields per data row, for each loader's accepted headers.
-_LABELED_HEADERS = {CSV_HEADER: 5}
-_FEATURE_HEADERS = {CSV_HEADER: 5, FEATURES_HEADER: 4}
+FEATURE_NAMES = _CSV_FIELDS[1:4]
 
 # Row print formats for written CSVs. Voltage and current are rounded to
 # sensor resolution (10 mV, 1 mA); temperature to 0.01 C. SOC labels and
@@ -57,11 +54,11 @@ class Dataset:
     soc: np.ndarray
 
     def __post_init__(self):
-        for column in COLUMNS:
+        for f in dataclasses.fields(self):
             # A view, so freezing it leaves the caller's array writable.
-            values = np.ascontiguousarray(getattr(self, column), dtype=np.float64).view()
+            values = np.ascontiguousarray(getattr(self, f.name), dtype=np.float64).view()
             values.flags.writeable = False
-            object.__setattr__(self, column, values)
+            object.__setattr__(self, f.name, values)
         if any(c.ndim != 1 or c.shape != self.t.shape for c in self.columns):
             raise ShapeError(
                 "dataset columns must be 1-D and of equal length, got shapes "
@@ -77,7 +74,7 @@ class Dataset:
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
         """The five columns in CSV order (t, voltage, current, temperature, soc)."""
-        return tuple(getattr(self, column) for column in COLUMNS)
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +118,7 @@ def _read_columns(path, require_soc: bool) -> np.ndarray:
     per column over the rows before it, so a bad value on an earlier
     line is reported first.
     """
-    headers = _LABELED_HEADERS if require_soc else _FEATURE_HEADERS
+    headers = (CSV_HEADER,) if require_soc else (CSV_HEADER, FEATURES_HEADER)
     flat = array("d")
     fault = None
     # A byte that is not UTF-8 reads as U+FFFD, so its token fails to parse.
@@ -130,7 +127,7 @@ def _read_columns(path, require_soc: bool) -> np.ndarray:
         if header not in headers:
             expected = " or ".join(map(repr, headers))
             raise DataError(f"bad header {header!r}, expected {expected}", line=1)
-        n_fields = headers[header]
+        n_fields = header.count(",") + 1
         for line_no, raw in enumerate(fh, start=2):
             fields = raw.rstrip("\r\n").split(",")
             if len(fields) != n_fields:
@@ -149,7 +146,7 @@ def _read_columns(path, require_soc: bool) -> np.ndarray:
     # Floor division drops the values a failed line parsed before its bad token.
     n_rows = len(flat) // n_fields
     rows = np.frombuffer(flat, count=n_rows * n_fields).reshape(n_rows, n_fields)
-    columns = np.zeros((len(COLUMNS), n_rows))
+    columns = np.zeros((len(_CSV_FIELDS), n_rows))
     columns[:n_fields] = rows.T
     fault = _first_value_fault(columns, require_soc) or fault
     if fault is not None:

@@ -17,7 +17,7 @@ import numpy as np
 from .data import Normalizer, write_table
 from .errors import ConfigError, ModelFormatError, ShapeError
 from .network import LayerSpec, Network
-from .train import EpochMetrics, RunHistory
+from .train import EpochMetrics
 
 MODEL_FORMAT_VERSION = 1
 
@@ -74,10 +74,11 @@ def _require(doc: dict, key: str, kind: type = object):
 def load_model(path) -> tuple[Network, Normalizer, dict]:
     """Read a model document back; bit-exact inverse of save_model.
 
-    Raises ModelFormatError on corrupt JSON (with the byte offset), on a
-    format version this build does not read, on any payload whose shape
-    disagrees with the declared layer specs, and on NaN or infinite
-    values. A failed load never returns a partial model.
+    Raises ModelFormatError on corrupt JSON (with the byte offset where
+    the parser gives one), on a format version this build does not read,
+    on any payload whose shape disagrees with the declared layer specs,
+    and on NaN or infinite values. A failed load never returns a partial
+    model.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -91,10 +92,13 @@ def load_model(path) -> tuple[Network, Normalizer, dict]:
         raise ModelFormatError(
             f"corrupt model file: {e.msg} at offset {e.pos}"
         ) from None
+    except (RecursionError, ValueError) as e:
+        # Nesting too deep for the parser, or an integer over Python's digit limit.
+        raise ModelFormatError(f"corrupt model file: {e}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("model file is not a JSON object")
     version = _require(doc, "format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"model format version {version!r} unsupported; this build reads "
             f"version {MODEL_FORMAT_VERSION} only"
@@ -142,17 +146,18 @@ def load_model(path) -> tuple[Network, Normalizer, dict]:
     return net, norm, meta
 
 
-def write_history_csv(history: RunHistory, path) -> None:
+def write_history_csv(history: tuple[EpochMetrics, ...], path) -> None:
     """Learning-curve CSV, one row per epoch, epochs numbered from 1."""
-    metrics = np.array([dataclasses.astuple(e) for e in history.epochs])
+    metrics = np.array([dataclasses.astuple(e) for e in history])
     columns = (range(1, len(history) + 1), *metrics.T)
     write_table(path, HISTORY_HEADER, "%d" + ",%r" * len(_METRICS) + "\n", columns)
 
 
 def cv_table(histories) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Fold labels and final and best val MAE columns, then mean and std rows."""
-    scores = ([h.final.val_mae for h in histories], [h.best_val_mae() for h in histories])
-    columns = [np.append(c, (np.mean(c), np.std(c))) for c in map(np.array, scores)]
+    finals = [h[-1].val_mae for h in histories]
+    bests = [min(e.val_mae for e in h) for h in histories]
+    columns = [np.append(c, (np.mean(c), np.std(c))) for c in np.array((finals, bests))]
     return [*map(str, range(len(histories))), "mean", "std"], *columns
 
 

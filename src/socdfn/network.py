@@ -131,10 +131,6 @@ class Network:
             self.weights, self.biases
         )
 
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].in_dim
-
 
 @dataclass(eq=False)
 class GradientSet:
@@ -282,9 +278,10 @@ def init_network(specs, seed: int) -> Network:
 
 def _check_input(net: Network, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.in_dim:
+    in_dim = net.layers[0].in_dim
+    if x.ndim != 2 or x.shape[1] != in_dim:
         raise ShapeError(
-            f"input {x.shape} does not match network input width ({net.in_dim})"
+            f"input {x.shape} does not match network input width ({in_dim})"
         )
     return x
 
@@ -361,11 +358,6 @@ def data_loss(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
     if kind == "mse":
         return float(np.mean(diff * diff))
     return float(np.mean(np.abs(diff)))
-
-
-def loss_mae(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean absolute error in the target's units (SOC percent here)."""
-    return data_loss(pred, target, "mae")
 
 
 def penalty(net: Network, reg: RegConfig, buffers: StepBuffers | None = None) -> float:

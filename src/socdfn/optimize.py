@@ -27,8 +27,6 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .network import GradientSet, Network, StepBuffers
 
-OPTIMIZER_KINDS = ("sgd", "rmsprop", "adam")
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -117,6 +115,7 @@ def _adam(cfg, state, w, g, s, t) -> None:
 
 
 _RULES = {"sgd": _sgd, "rmsprop": _rmsprop, "adam": _adam}
+OPTIMIZER_KINDS = tuple(_RULES)
 
 
 def apply_update(

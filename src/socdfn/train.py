@@ -37,7 +37,6 @@ from .network import (
     data_loss,
     forward,
     init_network,
-    loss_mae,
     penalty,
     predict,
     predict_finite,
@@ -73,21 +72,6 @@ class EpochMetrics:
     train_mae: float
     val_loss: float
     val_mae: float
-
-
-@dataclass(frozen=True)
-class RunHistory:
-    epochs: tuple[EpochMetrics, ...]
-
-    def __len__(self) -> int:
-        return len(self.epochs)
-
-    @property
-    def final(self) -> EpochMetrics:
-        return self.epochs[-1]
-
-    def best_val_mae(self) -> float:
-        return float(min(e.val_mae for e in self.epochs))
 
 
 def _check_finite(value: float, what: str) -> float:
@@ -127,7 +111,7 @@ def train_epoch(
         _check_finite(objective, "training loss")
         b = xb.shape[0]
         loss_sum += objective * b
-        mae_sum += loss_mae(cache.pred, yb) * b
+        mae_sum += data_loss(cache.pred, yb, "mae") * b
         apply_update(opt_state, net, grads, cfg.optimizer, buffers=buffers)
     return loss_sum / len(y), mae_sum / len(y)
 
@@ -139,7 +123,7 @@ def _validation_metrics(
     loss = _check_finite(
         data_loss(pred, y_val, cfg.loss) + penalty(net, cfg.reg), "validation loss"
     )
-    return loss, loss_mae(pred, y_val)
+    return loss, data_loss(pred, y_val, "mae")
 
 
 def fit(
@@ -149,7 +133,7 @@ def fit(
     x_val: np.ndarray,
     y_val: np.ndarray,
     cfg: TrainConfig,
-) -> RunHistory:
+) -> tuple[EpochMetrics, ...]:
     """Train net in place for cfg.epochs epochs, one EpochMetrics per epoch.
 
     A diverging run raises NumericError, so numpy's overflow and invalid
@@ -165,7 +149,7 @@ def fit(
             train = train_epoch(net, opt_state, x_train, y_train, cfg, epoch=epoch)
             val = _validation_metrics(net, x_val, y_val, cfg)
             history.append(EpochMetrics(*train, *val))
-    return RunHistory(epochs=tuple(history))
+    return tuple(history)
 
 
 def holdout(
@@ -178,7 +162,7 @@ def holdout(
 
 def fit_datasets(
     specs, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig
-) -> tuple[Network, Normalizer, RunHistory]:
+) -> tuple[Network, Normalizer, tuple[EpochMetrics, ...]]:
     """Fit a network initialized from the (cfg.seed, "init") stream.
 
     Both splits are normalized by train_ds's statistics.
@@ -247,7 +231,7 @@ def check_jobs(jobs: int) -> None:
 
 def cross_validate(
     pool: Dataset, specs, k: int, cfg: TrainConfig, jobs: int = 1
-) -> tuple[RunHistory, ...]:
+) -> tuple[tuple[EpochMetrics, ...], ...]:
     """K-fold run: fresh seeded network per fold, normalizer refit per fold.
 
     Returns the fold histories in fold order. Rows are dealt to folds by
@@ -260,7 +244,7 @@ def cross_validate(
     check_jobs(jobs)
     assignment = kfold_split(len(pool), k, derive_seed(cfg.seed, "folds"))
 
-    def run_fold(j: int) -> RunHistory:
+    def run_fold(j: int) -> tuple[EpochMetrics, ...]:
         fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, "fold", j))
         return fit_datasets(specs, *fold_datasets(pool, assignment, j), fold_cfg)[2]
 
@@ -271,4 +255,4 @@ def cross_validate(
 
 def evaluate(net: Network, norm: Normalizer, test: Dataset) -> float:
     """Inference-mode test MAE of predict_finite's unclamped predictions."""
-    return loss_mae(predict_finite(net, norm, test), test.soc)
+    return data_loss(predict_finite(net, norm, test), test.soc, "mae")

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, run in-process via main()."""
 
 import hashlib
+import json
 import os
 import re
 import stat
@@ -239,6 +240,22 @@ class TestTrain:
         assert code == 3
         assert history.read_bytes() == b"kept\n"
         assert list(tmp_path.iterdir()) == [history]
+
+    def test_replaced_file_gets_default_permissions(self, cycle_csv, tmp_path):
+        # The new file is created under the umask; a write in place would
+        # keep the old file's 0o600.
+        model = tmp_path / "m.json"
+        model.write_bytes(b"old\n")
+        model.chmod(0o600)
+        old_umask = os.umask(0o022)
+        try:
+            code, _, err = run_cli(fast_train_args(
+                cycle_csv, extra=["--model-out", str(model)]
+            ))
+        finally:
+            os.umask(old_umask)
+        assert code == 0, err
+        assert stat.S_IMODE(model.stat().st_mode) == 0o644
 
     def test_directory_as_output_leaves_no_file(self, cycle_csv, tmp_path):
         (tmp_path / "a-dir").mkdir()
@@ -536,6 +553,49 @@ def test_overflow_reports_error_without_numpy_warnings(trained, tmp_path, comman
     assert proc.returncode == 5
     assert re.search(r"^error: .*non-finite", proc.stderr, re.MULTILINE)
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("body, message", [
+    (b"[" * 200_000 + b"]" * 200_000, "corrupt model file"),
+    # Over Python's integer digit limit; without the limit, a version
+    # this build does not read.
+    (b'{"format_version": ' + b"1" * 5000 + b"}", "corrupt model file|unsupported"),
+], ids=["deep-nesting", "long-integer"])
+def test_malformed_model_is_exit_4_without_traceback(
+    cycle_csv, tmp_path, command, body, message
+):
+    # A separate interpreter, so an uncaught exception prints its traceback.
+    model = tmp_path / "model.json"
+    model.write_bytes(body)
+    out = tmp_path / "predictions.csv"
+    argv = [command, "--model", str(model), "--data", str(cycle_csv)]
+    if command == "predict":
+        argv += ["--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(Path(socdfn.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "socdfn.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 4
+    assert re.fullmatch(rf"error: [^\n]*({message})[^\n]*\n", proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_format_version_must_be_an_integer(trained, tmp_path, version):
+    model, test_csv = trained
+    doc = json.loads(model.read_text())
+    doc["format_version"] = version
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(["evaluate", "--model", str(bad), "--data", str(test_csv)])
+    assert code == 4
+    assert err == (
+        f"error: model format version {version!r} unsupported; "
+        "this build reads version 1 only\n"
+    )
 
 
 NO_DRAW_CHILD = """

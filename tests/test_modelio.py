@@ -21,7 +21,7 @@ from socdfn.modelio import (
 )
 from socdfn.network import init_network, make_specs, predict
 from socdfn.rng import make_rng
-from socdfn.train import EpochMetrics, RunHistory
+from socdfn.train import EpochMetrics
 
 
 def example_model(seed=3, dropout=0.0, hidden=2):
@@ -32,11 +32,9 @@ def example_model(seed=3, dropout=0.0, hidden=2):
 
 
 def example_history():
-    return RunHistory(
-        epochs=(
-            EpochMetrics(train_loss=9.5, train_mae=2.5, val_loss=10.25, val_mae=2.75),
-            EpochMetrics(train_loss=4.125, train_mae=1.5, val_loss=5.0, val_mae=1.625),
-        )
+    return (
+        EpochMetrics(train_loss=9.5, train_mae=2.5, val_loss=10.25, val_mae=2.75),
+        EpochMetrics(train_loss=4.125, train_mae=1.5, val_loss=5.0, val_mae=1.625),
     )
 
 
@@ -310,7 +308,7 @@ class TestHistoryCsv:
         path = tmp_path / "history.csv"
         write_history_csv(hist, path)
         lines = path.read_text().splitlines()[1:]
-        for row, metrics in zip(lines, hist.epochs):
+        for row, metrics in zip(lines, hist):
             cells = row.split(",")
             assert float(cells[1]) == metrics.train_loss
             assert float(cells[2]) == metrics.train_mae
@@ -318,15 +316,13 @@ class TestHistoryCsv:
             assert float(cells[4]) == metrics.val_mae
 
     def test_irrational_values_survive_exactly(self, tmp_path):
-        hist = RunHistory(
-            epochs=(
-                EpochMetrics(
-                    train_loss=math.pi,
-                    train_mae=1.0 / 3.0,
-                    val_loss=math.sqrt(2.0),
-                    val_mae=0.1,
-                ),
-            )
+        hist = (
+            EpochMetrics(
+                train_loss=math.pi,
+                train_mae=1.0 / 3.0,
+                val_loss=math.sqrt(2.0),
+                val_mae=0.1,
+            ),
         )
         path = tmp_path / "history.csv"
         write_history_csv(hist, path)
@@ -338,11 +334,9 @@ class TestHistoryCsv:
 
 def fold_history(best, final):
     """Two epochs whose val MAE falls to `best` and ends at `final`."""
-    return RunHistory(
-        epochs=(
-            EpochMetrics(train_loss=9.0, train_mae=3.0, val_loss=9.0, val_mae=best),
-            EpochMetrics(train_loss=8.0, train_mae=2.0, val_loss=8.0, val_mae=final),
-        )
+    return (
+        EpochMetrics(train_loss=9.0, train_mae=3.0, val_loss=9.0, val_mae=best),
+        EpochMetrics(train_loss=8.0, train_mae=2.0, val_loss=8.0, val_mae=final),
     )
 
 

@@ -17,9 +17,9 @@ from socdfn.network import (
     RegConfig,
     StepBuffers,
     backward,
+    data_loss,
     forward,
     init_network,
-    loss_mae,
     make_specs,
     penalty,
     predict,
@@ -29,7 +29,6 @@ from socdfn import train
 from socdfn.modelio import cv_table
 from socdfn.rng import derive_seed, make_rng
 from socdfn.train import (
-    RunHistory,
     TrainConfig,
     cross_validate,
     evaluate,
@@ -104,10 +103,10 @@ class TestTrainConfig:
 
 class TestMae:
     def test_zero_on_equal(self):
-        assert loss_mae(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+        assert data_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0]), "mae") == 0.0
 
     def test_hand_value(self):
-        assert loss_mae(np.array([0.0, 4.0]), np.array([2.0, 0.0])) == 3.0
+        assert data_loss(np.array([0.0, 4.0]), np.array([2.0, 0.0]), "mae") == 3.0
 
     def test_never_exceeds_rmse(self):
         # Jensen: mean |e| <= sqrt(mean e^2) for any error vector.
@@ -116,7 +115,7 @@ class TestMae:
             pred = rng.normal(size=50)
             target = rng.normal(size=50)
             rmse = math.sqrt(float(np.mean((pred - target) ** 2)))
-            assert loss_mae(pred, target) <= rmse + 1e-15
+            assert data_loss(pred, target, "mae") <= rmse + 1e-15
 
 
 class TestTrainEpoch:
@@ -212,14 +211,13 @@ class TestFit:
         net = init_network(make_specs(1, 8, 0.0), seed=3)
         hist = fit(net, x, y, xv, yv, small_cfg(epochs=4))
         assert len(hist) == 4
-        assert hist.final is hist.epochs[-1]
 
     def test_loss_decreases_over_early_epochs(self):
         x, y = affine_batch(200, seed=77)
         xv, yv = affine_batch(40, seed=78)
         net = init_network(make_specs(2, 16, 0.0), seed=5)
         hist = fit(net, x, y, xv, yv, small_cfg(epochs=5))
-        losses = [e.train_loss for e in hist.epochs]
+        losses = [e.train_loss for e in hist]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_learns_affine_map(self):
@@ -227,7 +225,7 @@ class TestFit:
         xv, yv = affine_batch(40, seed=78)
         net = init_network(make_specs(2, 16, 0.0), seed=5)
         hist = fit(net, x, y, xv, yv, small_cfg(epochs=8))
-        assert hist.final.train_mae < hist.epochs[0].train_mae / 2.0
+        assert hist[-1].train_mae < hist[0].train_mae / 2.0
 
     def test_val_metrics_are_finite_and_penalized(self):
         x, y = affine_batch(100, seed=1)
@@ -235,7 +233,7 @@ class TestFit:
         net = init_network(make_specs(1, 8, 0.0), seed=3)
         cfg = small_cfg(epochs=2, reg=RegConfig(l2=0.5))
         hist = fit(net, x, y, xv, yv, cfg)
-        final = hist.final
+        final = hist[-1]
         assert math.isfinite(final.val_loss)
         # Loss column carries the penalty, the MAE column does not.
         pred = predict(net, xv)
@@ -269,7 +267,7 @@ class TestFit:
             net = init_network(make_specs(2, 8, 0.0), seed=9)
             hist = fit(net, x, y, xv, yv, small_cfg(epochs=3))
             hists.append(hist)
-        assert hists[0].epochs == hists[1].epochs
+        assert hists[0] == hists[1]
 
     def test_shuffle_seed_changes_run(self):
         x, y = affine_batch(100, seed=1)
@@ -278,7 +276,7 @@ class TestFit:
         for seed in (3, 4):
             net = init_network(make_specs(2, 8, 0.0), seed=9)
             hist = fit(net, x, y, xv, yv, small_cfg(epochs=3, seed=seed))
-            finals.append(hist.final.train_loss)
+            finals.append(hist[-1].train_loss)
         assert finals[0] != finals[1]
 
     def test_dropout_training_runs_and_repeats(self):
@@ -290,7 +288,7 @@ class TestFit:
             net = init_network(specs, seed=9)
             hist = fit(net, x, y, xv, yv, small_cfg(epochs=3))
             hists.append(hist)
-        assert hists[0].epochs == hists[1].epochs
+        assert hists[0] == hists[1]
 
     def test_mae_loss_mode(self):
         x, y = affine_batch(100, seed=1)
@@ -300,17 +298,8 @@ class TestFit:
         # In MAE mode the unpenalized loss column equals the MAE column
         # on the validation side.
         np.testing.assert_allclose(
-            hist.final.val_loss, hist.final.val_mae, rtol=1e-12
+            hist[-1].val_loss, hist[-1].val_mae, rtol=1e-12
         )
-
-
-class TestRunHistoryHelpers:
-    def test_best_val_mae(self):
-        x, y = affine_batch(100, seed=1)
-        xv, yv = affine_batch(20, seed=2)
-        net = init_network(make_specs(1, 8, 0.0), seed=3)
-        hist = fit(net, x, y, xv, yv, small_cfg(epochs=4))
-        assert hist.best_val_mae() == min(e.val_mae for e in hist.epochs)
 
 
 class TestCrossValidate:
@@ -323,21 +312,21 @@ class TestCrossValidate:
     def test_report_shape(self):
         histories = self.run_cv(k=4)
         assert len(histories) == 4
-        assert all(isinstance(h, RunHistory) and len(h) == 2 for h in histories)
+        assert all(isinstance(h, tuple) and len(h) == 2 for h in histories)
 
     def test_mean_and_std_match_fold_scores(self):
         histories = self.run_cv(k=4)
         labels, finals, bests = cv_table(histories)
         assert labels == ["0", "1", "2", "3", "mean", "std"]
-        assert finals[:4].tolist() == [h.final.val_mae for h in histories]
-        assert bests[:4].tolist() == [h.best_val_mae() for h in histories]
+        assert finals[:4].tolist() == [h[-1].val_mae for h in histories]
+        assert bests[:4].tolist() == [min(e.val_mae for e in h) for h in histories]
         for column in (finals, bests):
             np.testing.assert_allclose(column[4], column[:4].mean(), rtol=1e-15)
             np.testing.assert_allclose(column[5], column[:4].std(), rtol=1e-15)
 
     def test_best_not_worse_than_final(self):
         for h in self.run_cv(k=4):
-            assert h.best_val_mae() <= h.final.val_mae + 1e-15
+            assert min(e.val_mae for e in h) <= h[-1].val_mae + 1e-15
 
     def test_eight_folds(self):
         assert len(self.run_cv(k=8)) == 8
@@ -345,16 +334,16 @@ class TestCrossValidate:
     def test_deterministic(self):
         a = self.run_cv(k=4)
         b = self.run_cv(k=4)
-        assert [h.epochs for h in a] == [h.epochs for h in b]
+        assert a == b
 
     def test_threaded_run_matches_serial(self):
         serial = self.run_cv(k=4, jobs=1)
         threaded = self.run_cv(k=4, jobs=4)
-        assert [h.epochs for h in serial] == [h.epochs for h in threaded]
+        assert serial == threaded
 
     def test_folds_are_distinct_runs(self):
         histories = self.run_cv(k=4)
-        assert len({h.final.val_mae for h in histories}) > 1
+        assert len({h[-1].val_mae for h in histories}) > 1
 
     def test_fold_j_is_fit_datasets_on_its_documented_keys(self):
         # README's stream table: folds are dealt by (seed, "folds"), and
@@ -368,7 +357,7 @@ class TestCrossValidate:
             fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, "fold", j))
             train_ds, val_ds = fold_datasets(pool, assignment, j)
             expect = fit_datasets(specs, train_ds, val_ds, fold_cfg)[2]
-            assert history.epochs == expect.epochs
+            assert history == expect
 
 
 _OPENBLAS = train._openblas_thread_fns()

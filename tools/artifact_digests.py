@@ -19,8 +19,10 @@ non-default --beta1, --beta2 and --lr, so a flag that reached the wrong
 hyperparameter would change a digest, and one 64-unit dense layer with
 dropout 0.25, a width and a rate that no preset writes into a model
 file's layer records; `crossval --k 4` with
-paper-4h-dropout at --jobs 1 and 2, and with paper-2h and --no-shuffle,
-whose pool is the file's first rows in order; `predict` on the labeled cycle and on a four-column
+paper-4h-dropout at --jobs 1 and 2, with paper-2h and --no-shuffle,
+whose pool is the file's first rows in order, and with paper-2h at
+--lr 0.02 and --batch 16, where some folds' best val MAE is not their
+final one, so the report's two columns differ; `predict` on the labeled cycle and on a four-column
 feature CSV made by dropping its soc_pct column; and `evaluate`. It also
 runs `gen-data`, `predict` and `evaluate` on a 16385-row cycle, which
 `predict` cuts into 17 unequal inference blocks of 963-964 rows that
@@ -105,6 +107,10 @@ def run_seed(src: Path, workdir: Path, seed: int) -> None:
     out = f"{s}-crossval-no-shuffle"
     run(src, workdir, ["crossval", *common, "--k", "4", "--preset", "paper-2h",
                        "--no-shuffle", "--report-out", f"{out}.csv"], f"{out}.stdout")
+    out = f"{s}-crossval-lr"
+    run(src, workdir, ["crossval", *common, "--k", "4", "--preset", "paper-2h",
+                       "--lr", "0.02", "--batch", "16", "--report-out", f"{out}.csv"],
+        f"{out}.stdout")
     model = f"{s}-train-2h.json"
     run(src, workdir, ["predict", "--model", model, "--data", f"{s}-cycle.csv",
                        "--out", f"{s}-predictions.csv"], f"{s}-predict.stdout")
