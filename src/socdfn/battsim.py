@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 from .rng import check_seed, make_rng
 
 logger = logging.getLogger(__name__)
@@ -46,27 +46,16 @@ class CellParams:
     heat_coeff_k_per_w: float = 8.0
 
     def __post_init__(self):
-        if not 0.0 < self.capacity_ah < math.inf:
-            raise ConfigError(f"capacity_ah must be positive, got {self.capacity_ah}")
+        check_range("capacity_ah", self.capacity_ah, "positive")
         if not -math.inf < self.ocv_empty_v < self.ocv_full_v < math.inf:
             raise ConfigError(
                 f"ocv_full_v ({self.ocv_full_v}) must exceed "
                 f"ocv_empty_v ({self.ocv_empty_v})"
             )
-        if not 0.0 <= self.r_internal_ohm < math.inf:
-            raise ConfigError(
-                f"r_internal_ohm must be non-negative, got {self.r_internal_ohm}"
-            )
-        if not 0.0 < self.thermal_tau_s < math.inf:
-            raise ConfigError(
-                f"thermal_tau_s must be positive, got {self.thermal_tau_s}"
-            )
-        if not -math.inf < self.ambient_c < math.inf:
-            raise ConfigError(f"ambient_c must be finite, got {self.ambient_c}")
-        if not 0.0 <= self.heat_coeff_k_per_w < math.inf:
-            raise ConfigError(
-                f"heat_coeff_k_per_w must be non-negative, got {self.heat_coeff_k_per_w}"
-            )
+        check_range("r_internal_ohm", self.r_internal_ohm, "non-negative")
+        check_range("thermal_tau_s", self.thermal_tau_s, "positive")
+        check_range("ambient_c", self.ambient_c, "finite")
+        check_range("heat_coeff_k_per_w", self.heat_coeff_k_per_w, "non-negative")
 
     def ocv(self, soc_pct: float) -> float:
         """Open-circuit voltage, linear in SOC."""
@@ -86,8 +75,7 @@ class CycleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.dt_s < math.inf:
-            raise ConfigError(f"dt_s must be positive, got {self.dt_s}")
+        check_range("dt_s", self.dt_s, "positive")
         if not self.dt_s <= self.duration_s < math.inf:
             raise ConfigError(
                 f"duration_s ({self.duration_s}) must be at least dt_s ({self.dt_s})"
@@ -99,14 +87,8 @@ class CycleConfig:
                 f"duration_s / dt_s is {self.duration_s / self.dt_s:g} steps, "
                 "more than one array can hold"
             )
-        if not 0.0 < self.peak_discharge_a < math.inf:
-            raise ConfigError(
-                f"peak_discharge_a must be positive, got {self.peak_discharge_a}"
-            )
-        if not 0.0 <= self.regen_fraction < 1.0:
-            raise ConfigError(
-                f"regen_fraction must be in [0, 1), got {self.regen_fraction}"
-            )
+        check_range("peak_discharge_a", self.peak_discharge_a, "positive")
+        check_range("regen_fraction", self.regen_fraction, "in [0, 1)")
         check_seed(self.seed)
 
 
@@ -177,10 +159,8 @@ def simulate_cell(
     ConfigError naming the first step that load_csv would refuse once
     written: a non-finite value, or a voltage that rounds to 0 V or below.
     """
-    if not 0.0 < soc0_pct <= 100.0:
-        raise ConfigError(f"soc0_pct must be in (0, 100], got {soc0_pct}")
-    if not 0.0 < dt_s < math.inf:
-        raise ConfigError(f"dt_s must be positive, got {dt_s}")
+    check_range("soc0_pct", soc0_pct, "in (0, 100]")
+    check_range("dt_s", dt_s, "positive")
     profile = np.asarray(profile, dtype=np.float64)
     soc_per_amp_step = 100.0 * dt_s / (3600.0 * params.capacity_ah)
 

@@ -201,14 +201,17 @@ def _plan_outputs(inputs, outputs) -> list:
 
     target is the resolved path of a new or regular file, or None for an
     unnamed output or an existing special file (a FIFO, a device, a piped
-    /dev/stdout), which may repeat. A directory or a missing parent raises
-    the OS error; a clash with an input or an earlier output, ConfigError.
+    /dev/stdout), which may repeat. An empty path, a directory or a missing
+    parent raises the OS error open() would; a clash with an input or an
+    earlier output, ConfigError.
     """
     # Each resolved path -> the start of the message a clash with it prints.
     seen = {os.path.realpath(p): f"input {p} and output" for p in inputs}
     plan = []
     for path in outputs:
         target = None
+        if path == "":
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if path and os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if path and (os.path.isfile(path) or not os.path.exists(path)):

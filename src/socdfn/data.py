@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateFeatureError, ShapeError
+from .errors import ConfigError, DataError, DegenerateFeatureError, ShapeError, check_range
 from .rng import check_seed, make_rng
 
 # CSV column names, in the order of Dataset's fields.
@@ -248,7 +248,7 @@ def fit_normalizer(train: Dataset) -> Normalizer:
     for f, s in enumerate(std):
         if not (s > 0.0 and math.isfinite(s)):
             raise DegenerateFeatureError(
-                f"feature {FEATURE_NAMES[f]!r} is constant (std {s!r}), "
+                f"feature {FEATURE_NAMES[f]!r} is constant (std {float(s)!r}), "
                 "cannot normalize"
             )
     return Normalizer(mean=mean, std=std)
@@ -321,8 +321,7 @@ def split_holdout(
 
 
 def check_fold_count(k: int) -> None:
-    if k < 2:
-        raise ConfigError(f"fold count k={k} must be >= 2")
+    check_range("fold count k", k, ">= 2")
 
 
 def kfold_split(n: int, k: int, seed: int) -> FoldAssignment:
@@ -374,8 +373,7 @@ def batch_iter(x: np.ndarray, y: np.ndarray, batch_size: int, shuffle_seed: int)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise ShapeError(f"features {x.shape} and targets {y.shape} do not align")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    check_range("batch_size", batch_size, ">= 1")
     check_seed(shuffle_seed)
     order = make_rng(shuffle_seed).permutation(x.shape[0])
     for start in range(0, len(order), batch_size):

@@ -2,8 +2,11 @@
 
 The CLI maps these onto distinct exit codes (see cli.py): configuration
 problems exit 2, I/O problems 3, schema/validation problems 4, numeric
-failures 5.
+failures 5. check_range and check_choice hold the one rule for a
+setting's allowed values.
 """
+
+import math
 
 
 class SocdfnError(Exception):
@@ -42,3 +45,29 @@ class ContractError(SocdfnError, RuntimeError):
 
 class NumericError(SocdfnError, ArithmeticError):
     """Training produced a non-finite loss or otherwise diverged."""
+
+
+# The words of each range a setting may be in, and the test of a value
+# against it; NaN, +inf and -inf fail every test.
+_RANGES = {
+    "positive": lambda x: 0.0 < x < math.inf,
+    "non-negative": lambda x: 0.0 <= x < math.inf,
+    "finite": lambda x: -math.inf < x < math.inf,
+    "in [0, 1)": lambda x: 0.0 <= x < 1.0,
+    "in (0, 100]": lambda x: 0.0 < x <= 100.0,
+    ">= 1": lambda x: 1 <= x < math.inf,
+    ">= 2": lambda x: 2 <= x < math.inf,
+    "in [0, 2^64)": lambda x: 0 <= x <= 2**64 - 1,
+}
+
+
+def check_range(name: str, value, kind: str) -> None:
+    """Raise ConfigError unless value is in the range that kind names."""
+    if not _RANGES[kind](value):
+        raise ConfigError(f"{name} must be {kind}, got {value}")
+
+
+def check_choice(what: str, value, choices: tuple) -> None:
+    """Raise ConfigError unless value is one of choices."""
+    if value not in choices:
+        raise ConfigError(f"unknown {what} {value!r}, expected one of {choices}")

@@ -168,14 +168,19 @@ def write_cv_csv(histories, path) -> None:
 
 def write_gnuplot_script(history_csv_path: str, path) -> None:
     """Emit a gnuplot script that plots the learning curves from a history CSV."""
+    # gnuplot reads '' inside a single-quoted string as one quote.
+    quoted = "'" + history_csv_path.replace("'", "''") + "'"
+    train_col, val_col = (
+        HISTORY_HEADER.split(",").index(m) + 1 for m in ("train_mae", "val_mae")
+    )
     script = (
         "set datafile separator ','\n"
         "set key autotitle columnhead\n"
         "set xlabel 'epoch'\n"
         "set ylabel 'MAE (SOC %)'\n"
         "set grid\n"
-        f"plot '{history_csv_path}' using 1:3 with lines title 'train MAE', \\\n"
-        f"     '{history_csv_path}' using 1:5 with lines title 'val MAE'\n"
+        f"plot {quoted} using 1:{train_col} with lines title 'train MAE', \\\n"
+        f"     {quoted} using 1:{val_col} with lines title 'val MAE'\n"
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(script)

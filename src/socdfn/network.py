@@ -18,7 +18,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import FEATURE_NAMES, Dataset, Normalizer, apply_normalizer
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import (
+    ConfigError, ContractError, NumericError, ShapeError, check_choice, check_range,
+)
 from .rng import make_rng
 
 ACTIVATIONS = ("relu", "linear")
@@ -45,19 +47,10 @@ class LayerSpec:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ConfigError(f"{f.name} {value!r} is not {what}")
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ConfigError(
-                f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(
-                f"unknown activation {self.activation!r}, expected one of "
-                f"{ACTIVATIONS}"
-            )
-        if not 0.0 <= self.dropout_after < 1.0:
-            raise ConfigError(
-                f"dropout_after must be in [0, 1), got {self.dropout_after}"
-            )
+        check_range("in_dim", self.in_dim, ">= 1")
+        check_range("out_dim", self.out_dim, ">= 1")
+        check_choice("activation", self.activation, ACTIVATIONS)
+        check_range("dropout_after", self.dropout_after, "in [0, 1)")
         object.__setattr__(self, "dropout_after", float(self.dropout_after))
 
 
@@ -67,11 +60,8 @@ class RegConfig:
     l2: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.l1 < math.inf and 0.0 <= self.l2 < math.inf):
-            raise ConfigError(
-                f"penalty coefficients must be non-negative, got "
-                f"l1={self.l1}, l2={self.l2}"
-            )
+        check_range("l1", self.l1, "non-negative")
+        check_range("l2", self.l2, "non-negative")
 
 
 @dataclass(eq=False)
@@ -240,8 +230,7 @@ def make_specs(hidden: int, units: int, dropout: float) -> tuple[LayerSpec, ...]
     dropout layer, so `hidden` must be even and yields hidden/2 dense
     layers. With dropout == 0 every hidden layer is dense.
     """
-    if hidden < 1:
-        raise ConfigError(f"hidden layer count must be >= 1, got {hidden}")
+    check_range("hidden layer count", hidden, ">= 1")
     if dropout > 0.0:
         if hidden % 2 != 0:
             raise ConfigError(
@@ -301,8 +290,7 @@ def forward(
     holds no per-layer arrays.
     """
     buffers = buffers or StepBuffers()
-    if mode not in ("train", "inference"):
-        raise ConfigError(f"mode must be 'train' or 'inference', got {mode!r}")
+    check_choice("mode", mode, ("train", "inference"))
     x = _check_input(net, x)
     has_dropout = any(spec.dropout_after > 0.0 for spec in net.layers)
     if mode == "train" and has_dropout and dropout_rng is None:
@@ -348,8 +336,7 @@ def forward(
 
 def data_loss(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
     """Mean squared ("mse") or mean absolute ("mae") error of 1-D arrays."""
-    if kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss {kind!r}, expected one of {LOSS_KINDS}")
+    check_choice("loss", kind, LOSS_KINDS)
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape or pred.ndim != 1:

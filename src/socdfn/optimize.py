@@ -19,12 +19,11 @@ A learning rate of exactly zero is accepted: it turns every rule into a
 no-op, which is useful for null-update sanity checks.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError, check_choice, check_range
 from .network import GradientSet, Network, StepBuffers
 
 
@@ -38,23 +37,11 @@ class OptimizerConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in OPTIMIZER_KINDS:
-            raise ConfigError(
-                f"unknown optimizer {self.kind!r}, expected one of {OPTIMIZER_KINDS}"
-            )
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ConfigError(
-                f"learning_rate must be non-negative, got {self.learning_rate}"
-            )
-        for name, value in (
-            ("beta1", self.beta1),
-            ("beta2", self.beta2),
-            ("rho", self.rho),
-        ):
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {value}")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        check_choice("optimizer", self.kind, OPTIMIZER_KINDS)
+        check_range("learning_rate", self.learning_rate, "non-negative")
+        for name in ("beta1", "beta2", "rho"):
+            check_range(name, getattr(self, name), "in [0, 1)")
+        check_range("epsilon", self.epsilon, "positive")
 
 
 @dataclass(eq=False)

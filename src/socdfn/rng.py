@@ -14,20 +14,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 
 # Name of the pinned bit generator, recorded in model files.
 BIT_GENERATOR = "pcg64"
-
-MAX_SEED = 2**64 - 1
 
 
 def check_seed(seed: int) -> int:
     """Validate a user-supplied 64-bit seed."""
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed <= MAX_SEED:
-        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
+    check_range("seed", seed, "in [0, 2^64)")
     return int(seed)
 
 

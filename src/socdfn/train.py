@@ -27,7 +27,7 @@ from .data import (
     kfold_split,
     split_holdout,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_choice, check_range
 from .network import (
     LOSS_KINDS,
     Network,
@@ -55,14 +55,9 @@ class TrainConfig:
     loss: str = "mse"
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.loss not in LOSS_KINDS:
-            raise ConfigError(
-                f"unknown loss {self.loss!r}, expected one of {LOSS_KINDS}"
-            )
+        check_range("epochs", self.epochs, ">= 1")
+        check_range("batch_size", self.batch_size, ">= 1")
+        check_choice("loss", self.loss, LOSS_KINDS)
         check_seed(self.seed)
 
 
@@ -225,8 +220,7 @@ def _blas_threads_per_worker(workers: int):
 
 
 def check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    check_range("jobs", jobs, ">= 1")
 
 
 def cross_validate(

@@ -221,6 +221,32 @@ class TestTrain:
         assert script.exists()
         assert str(history) in script.read_text()
 
+    def test_gnuplot_quotes_history_path(self, cycle_csv, tmp_path, monkeypatch):
+        # gnuplot reads '' inside a single-quoted string as one quote.
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(fast_train_args(
+            cycle_csv, extra=["--history-out", "it's.csv", "--emit-gnuplot"]
+        ))
+        assert code == 0, err
+        names = HISTORY_HEADER.split(",")
+        train_col, val_col = names.index("train_mae") + 1, names.index("val_mae") + 1
+        lines = Path("it's.csv.gnuplot").read_text().splitlines()
+        assert lines[-2:] == [
+            f"plot 'it''s.csv' using 1:{train_col} with lines title 'train MAE', \\",
+            f"     'it''s.csv' using 1:{val_col} with lines title 'val MAE'",
+        ]
+
+    def test_constant_feature_is_exit_4_with_plain_std(self, tmp_path):
+        # No internal resistance, so no self-heating: temperature stays at ambient.
+        data = tmp_path / "flat-temp.csv"
+        code, _, err = run_cli(
+            ["gen-data", "--out", str(data), "--duration", "900", "--r-internal", "0"]
+        )
+        assert code == 0, err
+        code, _, err = run_cli(["train", "--data", str(data), "--epochs", "1"])
+        assert code == 4
+        assert err == "error: feature 'temp_c' is constant (std 0.0), cannot normalize\n"
+
     def test_failed_output_leaves_no_file(self, cycle_csv, tmp_path):
         out = ["--history-out", str(tmp_path / "h.csv"), "--emit-gnuplot",
                "--save-train", str(tmp_path / "s.csv"),
@@ -583,6 +609,17 @@ def test_malformed_model_is_exit_4_without_traceback(
     assert not out.exists()
 
 
+def test_missing_weight_payload_is_exit_4(trained, tmp_path):
+    model, test_csv = trained
+    doc = json.loads(model.read_text())
+    del doc["weights"][-1]
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(["evaluate", "--model", str(bad), "--data", str(test_csv)])
+    assert code == 4
+    assert err == "error: 2 layers but 1 weight and 2 bias payloads\n"
+
+
 @pytest.mark.parametrize("version", [True, 1.0])
 def test_format_version_must_be_an_integer(trained, tmp_path, version):
     model, test_csv = trained
@@ -827,6 +864,57 @@ def test_unwritable_model_out_is_exit_3_before_data_is_read(
     assert code == 3
     assert err == f"error: {error}\n"
     assert list(Path("a-dir").iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--duration", "300", "--out", ""],
+    ["predict", "--model", "missing.json", "--data", "missing.csv", "--out", ""],
+    ["train", "--data", "missing.csv", "--epochs", "1", "--model-out", ""],
+], ids=["gen-data-out", "predict-out", "train-model-out"])
+def test_empty_output_path_is_exit_3_before_input_is_read(tmp_path, monkeypatch, argv):
+    # The inputs are missing, so the message naming '' shows the check runs first.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv)
+    assert code == 3
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+CONSOLE_SCRIPT = "import sys; from socdfn.cli import main; sys.exit(main())"
+
+
+def test_verbose_flag_logs_progress_to_stderr(tmp_path):
+    # A separate interpreter, started as the socdfn console script starts
+    # it: under pytest the root logger already has a handler, and
+    # logging.basicConfig then adds none.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(socdfn.__file__).parents[1])
+    runs = {
+        "gen-data": ["gen-data", "--out", "c.csv", "--duration", "30000", "--peak", "3"],
+        "train": ["train", "--data", "c.csv", "--hidden", "1", "--units", "4",
+                  "--epochs", "1"],
+    }
+    for verbose in ([], ["-v"]):
+        stderr = {}
+        for name, argv in runs.items():
+            proc = subprocess.run(
+                [sys.executable, "-c", CONSOLE_SCRIPT, *verbose, *argv],
+                capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            stderr[name] = proc.stderr
+        if not verbose:
+            assert stderr == {"gen-data": "", "train": ""}
+            continue
+        assert re.fullmatch(
+            r"INFO socdfn\.battsim: cell empty after step \d+ of 30000, truncating cycle\n",
+            stderr["gen-data"],
+        )
+        assert re.fullmatch(
+            r"INFO socdfn\.cli: training 1 epochs on \d+ rows \(val \d+, test \d+\)\n",
+            stderr["train"],
+        )
 
 
 # (subcommand, output flag, first line of that output): one per subcommand

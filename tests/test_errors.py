@@ -1,7 +1,14 @@
-"""Tests for the exception hierarchy the exit-code mapping relies on."""
+"""Tests for the exception hierarchy the exit-code mapping relies on, and
+for the range and choice checks every setting goes through."""
 
+import math
+import re
+
+import numpy as np
 import pytest
 
+from socdfn.battsim import CellParams, CycleConfig, simulate_cell
+from socdfn.data import batch_iter, check_fold_count
 from socdfn.errors import (
     ConfigError,
     ContractError,
@@ -11,7 +18,12 @@ from socdfn.errors import (
     NumericError,
     ShapeError,
     SocdfnError,
+    check_choice,
+    check_range,
 )
+from socdfn.network import LayerSpec, RegConfig, make_specs
+from socdfn.optimize import OptimizerConfig
+from socdfn.train import TrainConfig, check_jobs
 
 
 class TestHierarchy:
@@ -52,3 +64,96 @@ class TestDataErrorLinePrefix:
     def test_raisable_and_catchable_as_base(self):
         with pytest.raises(SocdfnError):
             raise ModelFormatError("broken", line=2)
+
+
+def train_config(**changes):
+    return TrainConfig(**{
+        "epochs": 1, "batch_size": 8, "optimizer": OptimizerConfig(), "reg": RegConfig(),
+        "seed": 0, **changes,
+    })
+
+
+# Test id -> (setting name as its error message starts, a call that sets
+# it to v): every value that check_range guards.
+RANGE_SETTINGS = {
+    "CellParams.capacity_ah": ("capacity_ah", lambda v: CellParams(capacity_ah=v)),
+    "CellParams.r_internal_ohm": ("r_internal_ohm", lambda v: CellParams(r_internal_ohm=v)),
+    "CellParams.thermal_tau_s": ("thermal_tau_s", lambda v: CellParams(thermal_tau_s=v)),
+    "CellParams.ambient_c": ("ambient_c", lambda v: CellParams(ambient_c=v)),
+    "CellParams.heat_coeff_k_per_w": (
+        "heat_coeff_k_per_w", lambda v: CellParams(heat_coeff_k_per_w=v),
+    ),
+    "CycleConfig.dt_s": ("dt_s", lambda v: CycleConfig(dt_s=v)),
+    "CycleConfig.peak_discharge_a": (
+        "peak_discharge_a", lambda v: CycleConfig(peak_discharge_a=v),
+    ),
+    "CycleConfig.regen_fraction": (
+        "regen_fraction", lambda v: CycleConfig(regen_fraction=v),
+    ),
+    "simulate_cell.soc0_pct": (
+        "soc0_pct", lambda v: simulate_cell(np.zeros(3), CellParams(), v, 1.0),
+    ),
+    "simulate_cell.dt_s": (
+        "dt_s", lambda v: simulate_cell(np.zeros(3), CellParams(), 50.0, v),
+    ),
+    "OptimizerConfig.learning_rate": (
+        "learning_rate", lambda v: OptimizerConfig(learning_rate=v),
+    ),
+    "OptimizerConfig.beta1": ("beta1", lambda v: OptimizerConfig(beta1=v)),
+    "OptimizerConfig.beta2": ("beta2", lambda v: OptimizerConfig(beta2=v)),
+    "OptimizerConfig.rho": ("rho", lambda v: OptimizerConfig(rho=v)),
+    "OptimizerConfig.epsilon": ("epsilon", lambda v: OptimizerConfig(epsilon=v)),
+    "LayerSpec.in_dim": ("in_dim", lambda v: LayerSpec(in_dim=v, out_dim=4)),
+    "LayerSpec.out_dim": ("out_dim", lambda v: LayerSpec(in_dim=3, out_dim=v)),
+    "LayerSpec.dropout_after": (
+        "dropout_after", lambda v: LayerSpec(3, 4, dropout_after=v),
+    ),
+    "make_specs.hidden": ("hidden layer count", lambda v: make_specs(v, 8, 0.0)),
+    "RegConfig.l1": ("l1", lambda v: RegConfig(l1=v)),
+    "RegConfig.l2": ("l2", lambda v: RegConfig(l2=v)),
+    "TrainConfig.epochs": ("epochs", lambda v: train_config(epochs=v)),
+    "TrainConfig.batch_size": ("batch_size", lambda v: train_config(batch_size=v)),
+    "batch_iter.batch_size": (
+        "batch_size", lambda v: next(batch_iter(np.zeros((4, 3)), np.zeros(4), v, 0)),
+    ),
+    "check_jobs": ("jobs", check_jobs),
+    "check_fold_count": ("fold count k", check_fold_count),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("name, call", RANGE_SETTINGS.values(), ids=RANGE_SETTINGS)
+def test_non_finite_setting_is_config_error_naming_it(name, call, value):
+    with pytest.raises(ConfigError) as info:
+        call(value)
+    assert str(info.value).startswith(f"{name} ")
+
+
+# Range kind -> (values in it, values outside it besides NaN and +/-inf).
+RANGE_KINDS = {
+    "positive": ([1e-300, 5.0], [0.0, -1.0]),
+    "non-negative": ([0.0, 5.0], [-1e-300]),
+    "finite": ([-1e300, 0.0, 1e300], []),
+    "in [0, 1)": ([0.0, 0.999], [1.0, -1e-300]),
+    "in (0, 100]": ([1e-300, 100.0], [0.0, 100.5]),
+    ">= 1": ([1, 10**400], [0, 0.5]),
+    ">= 2": ([2, 2.5], [1, 1.5]),
+    "in [0, 2^64)": ([0, 2**64 - 1], [-1, 2**64]),
+}
+
+
+@pytest.mark.parametrize("kind", RANGE_KINDS)
+def test_check_range_bounds(kind):
+    inside, outside = RANGE_KINDS[kind]
+    for value in inside:
+        check_range("x", value, kind)
+    for value in [*outside, math.nan, math.inf, -math.inf]:
+        with pytest.raises(ConfigError, match=rf"^x must be {re.escape(kind)}, got "):
+            check_range("x", value, kind)
+
+
+def test_check_choice_names_the_choices():
+    check_choice("loss", "mae", ("mse", "mae"))
+    with pytest.raises(ConfigError) as info:
+        check_choice("loss", "huber", ("mse", "mae"))
+    assert str(info.value) == "unknown loss 'huber', expected one of ('mse', 'mae')"

@@ -13,6 +13,7 @@ from socdfn import network
 from socdfn.errors import ConfigError, ContractError, NumericError, ShapeError
 from socdfn.network import (
     ForwardCache,
+    GradientSet,
     LayerSpec,
     Network,
     RegConfig,
@@ -86,6 +87,31 @@ class TestNetworkValidation:
         specs = (LayerSpec(2, 1, "linear"),)
         with pytest.raises(ShapeError):
             tiny_net([np.zeros((3, 1))], [np.zeros(1)], specs)
+
+    def test_no_layers(self):
+        with pytest.raises(ConfigError, match="^network needs at least one layer$"):
+            tiny_net([], [], ())
+
+    @pytest.mark.parametrize("n_weights, n_biases", [(1, 2), (2, 1)])
+    def test_array_count_must_match_layer_count(self, n_weights, n_biases):
+        specs = (LayerSpec(3, 2, "relu"), LayerSpec(2, 1, "linear"))
+        weights = [np.zeros((3, 2)), np.zeros((2, 1))][:n_weights]
+        biases = [np.zeros(2), np.zeros(1)][:n_biases]
+        with pytest.raises(ShapeError, match=(
+            f"^2 layers but {n_weights} weight and {n_biases} bias arrays$"
+        )):
+            tiny_net(weights, biases, specs)
+
+    def test_bias_shape_checked(self):
+        specs = (LayerSpec(3, 2, "relu"), LayerSpec(2, 1, "linear"))
+        with pytest.raises(ShapeError, match=(
+            r"^layer 0 biases \(3,\) do not match spec \(2,\)$"
+        )):
+            tiny_net([np.zeros((3, 2)), np.zeros((2, 1))], [np.zeros(3), np.zeros(1)], specs)
+
+    def test_gradient_set_counts_must_match(self):
+        with pytest.raises(ShapeError, match="^2 weight gradients but 1 bias gradients$"):
+            GradientSet(dweights=[np.zeros((3, 2)), np.zeros((2, 1))], dbiases=[np.zeros(2)])
 
     def test_unknown_activation(self):
         with pytest.raises(ConfigError):
@@ -553,6 +579,13 @@ class TestBackward:
         _, cache = forward(a, np.ones((1, 1)), mode="train")
         with pytest.raises(ContractError, match="stale"):
             backward(b, cache, np.zeros(1), RegConfig())
+
+    def test_short_cache_rejected(self):
+        net, x, y = self.setup_case(seed=105)
+        _, cache = forward(net, x, mode="train")
+        del cache.inputs[-1]
+        with pytest.raises(ContractError, match="^cache covers 2 layers, network has 3$"):
+            backward(net, cache, y, RegConfig())
 
     def test_target_shape_checked(self):
         net = passthrough_net()

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from socdfn.errors import ConfigError
-from socdfn.rng import MAX_SEED, check_seed, derive_seed, make_rng, substream
+from socdfn.rng import check_seed, derive_seed, make_rng, substream
 
 
 class TestCheckSeed:
     def test_accepts_range(self):
         assert check_seed(0) == 0
-        assert check_seed(MAX_SEED) == MAX_SEED
+        assert check_seed(2**64 - 1) == 2**64 - 1
 
     def test_accepts_numpy_integers(self):
         assert check_seed(np.int64(7)) == 7

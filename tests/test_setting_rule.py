@@ -1,0 +1,29 @@
+"""The rule for a setting's allowed values is written in one place.
+
+errors.check_range and errors.check_choice word every "must be <range>,
+got <value>" and "expected one of <choices>" message. A module that
+words one itself compares the value by hand, and each such comparison
+has to get NaN and the infinities right on its own.
+"""
+
+import re
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "socdfn"
+HAND_WRITTEN_RULE = re.compile(
+    r"must be (positive|non-negative|finite|in [\[(].*?[)\]]|>= \d+), got|expected one of"
+)
+
+
+def hand_written_rules():
+    return [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "errors.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if HAND_WRITTEN_RULE.search(line)
+    ]
+
+
+def test_only_errors_words_a_range_or_choice_rule():
+    assert hand_written_rules() == []
