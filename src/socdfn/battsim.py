@@ -47,7 +47,9 @@ class CellParams:
 
     def __post_init__(self):
         check_range("capacity_ah", self.capacity_ah, "positive")
-        if not -math.inf < self.ocv_empty_v < self.ocv_full_v < math.inf:
+        check_range("ocv_full_v", self.ocv_full_v, "finite")
+        check_range("ocv_empty_v", self.ocv_empty_v, "finite")
+        if not self.ocv_empty_v < self.ocv_full_v:
             raise ConfigError(
                 f"ocv_full_v ({self.ocv_full_v}) must exceed "
                 f"ocv_empty_v ({self.ocv_empty_v})"
@@ -76,7 +78,8 @@ class CycleConfig:
 
     def __post_init__(self):
         check_range("dt_s", self.dt_s, "positive")
-        if not self.dt_s <= self.duration_s < math.inf:
+        check_range("duration_s", self.duration_s, "finite")
+        if not self.dt_s <= self.duration_s:
             raise ConfigError(
                 f"duration_s ({self.duration_s}) must be at least dt_s ({self.dt_s})"
             )

@@ -46,7 +46,8 @@ from .optimize import OPTIMIZER_KINDS, OptimizerConfig
 from .rng import BIT_GENERATOR
 from .train import TrainConfig, check_jobs, cross_validate, evaluate, fit_datasets, holdout
 
-logger = logging.getLogger(__name__)
+# Not __name__, which is "__main__" under `python -m socdfn.cli`.
+logger = logging.getLogger("socdfn.cli")
 
 EXIT_OK = 0
 
@@ -257,7 +258,7 @@ def _write_all(plan, writes) -> None:
 
 
 def cmd_train(args) -> None:
-    if args.emit_gnuplot and not args.history_out:
+    if args.emit_gnuplot and args.history_out is None:
         raise ConfigError("--emit-gnuplot needs --history-out")
     gnuplot_out = args.emit_gnuplot and f"{args.history_out}.gnuplot"
     plan = _plan_outputs([args.data], [

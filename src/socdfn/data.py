@@ -279,6 +279,8 @@ def _subset(dataset: Dataset, indices: np.ndarray) -> Dataset:
 
 
 def check_split_fractions(train_frac: float, val_frac: float) -> None:
+    check_range("train_frac", train_frac, "finite")
+    check_range("val_frac", val_frac, "finite")
     if not (train_frac > 0.0 and val_frac > 0.0 and train_frac + val_frac < 1.0):
         raise ConfigError(
             f"bad split fractions train={train_frac}, val={val_frac}: "

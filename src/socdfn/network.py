@@ -9,11 +9,11 @@ plus L1/L2 penalties on weights only; biases are never penalized and the
 L1 subgradient at exactly zero is taken as zero.
 """
 
-# Annotations stay strings: forward's loads no numpy.random; LayerSpec checks by them.
+# Annotations stay strings: forward's np.random.Generator loads no numpy.random.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,9 +29,6 @@ LOSS_KINDS = ("mse", "mae")
 # a layer array stays in cache from its matrix product through the bias
 # add and the ReLU.
 INFERENCE_BLOCK_ROWS = 1024
-# The types each LayerSpec annotation admits, and their name; bool never is.
-_FIELD_TYPES = {"int": (int, "an integer"), "str": (str, "a string"),
-                "float": ((int, float), "a number")}
 
 
 @dataclass(frozen=True)
@@ -42,15 +39,12 @@ class LayerSpec:
     dropout_after: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            kinds, what = _FIELD_TYPES[f.type]
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ConfigError(f"{f.name} {value!r} is not {what}")
         check_range("in_dim", self.in_dim, ">= 1")
         check_range("out_dim", self.out_dim, ">= 1")
         check_choice("activation", self.activation, ACTIVATIONS)
         check_range("dropout_after", self.dropout_after, "in [0, 1)")
+        object.__setattr__(self, "in_dim", int(self.in_dim))
+        object.__setattr__(self, "out_dim", int(self.out_dim))
         object.__setattr__(self, "dropout_after", float(self.dropout_after))
 
 

@@ -870,7 +870,8 @@ def test_unwritable_model_out_is_exit_3_before_data_is_read(
     ["gen-data", "--duration", "300", "--out", ""],
     ["predict", "--model", "missing.json", "--data", "missing.csv", "--out", ""],
     ["train", "--data", "missing.csv", "--epochs", "1", "--model-out", ""],
-], ids=["gen-data-out", "predict-out", "train-model-out"])
+    ["train", "--data", "missing.csv", "--epochs", "1", "--history-out", "", "--emit-gnuplot"],
+], ids=["gen-data-out", "predict-out", "train-model-out", "train-history-out-gnuplot"])
 def test_empty_output_path_is_exit_3_before_input_is_read(tmp_path, monkeypatch, argv):
     # The inputs are missing, so the message naming '' shows the check runs first.
     monkeypatch.chdir(tmp_path)
@@ -885,9 +886,8 @@ CONSOLE_SCRIPT = "import sys; from socdfn.cli import main; sys.exit(main())"
 
 
 def test_verbose_flag_logs_progress_to_stderr(tmp_path):
-    # A separate interpreter, started as the socdfn console script starts
-    # it: under pytest the root logger already has a handler, and
-    # logging.basicConfig then adds none.
+    # A separate interpreter: under pytest the root logger already has a
+    # handler, and logging.basicConfig then adds none.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(Path(socdfn.__file__).parents[1])
     runs = {
@@ -895,11 +895,14 @@ def test_verbose_flag_logs_progress_to_stderr(tmp_path):
         "train": ["train", "--data", "c.csv", "--hidden", "1", "--units", "4",
                   "--epochs", "1"],
     }
-    for verbose in ([], ["-v"]):
+    # Started as the socdfn console script starts it, and as a module,
+    # whose __name__ is then "__main__".
+    console_script, module = ["-c", CONSOLE_SCRIPT], ["-m", "socdfn.cli"]
+    for start, verbose in [(console_script, []), (console_script, ["-v"]), (module, ["-v"])]:
         stderr = {}
         for name, argv in runs.items():
             proc = subprocess.run(
-                [sys.executable, "-c", CONSOLE_SCRIPT, *verbose, *argv],
+                [sys.executable, *start, *verbose, *argv],
                 capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
@@ -910,11 +913,11 @@ def test_verbose_flag_logs_progress_to_stderr(tmp_path):
         assert re.fullmatch(
             r"INFO socdfn\.battsim: cell empty after step \d+ of 30000, truncating cycle\n",
             stderr["gen-data"],
-        )
+        ), start
         assert re.fullmatch(
             r"INFO socdfn\.cli: training 1 epochs on \d+ rows \(val \d+, test \d+\)\n",
             stderr["train"],
-        )
+        ), start
 
 
 # (subcommand, output flag, first line of that output): one per subcommand

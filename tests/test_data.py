@@ -568,6 +568,10 @@ class TestKfold:
             kfold_split(10, 11, seed=0)
         kfold_split(10, 10, seed=0)  # k == n is legal
 
+    def test_non_integer_k_refused(self):
+        with pytest.raises(ConfigError, match=r"^fold count k 2\.5 is not an integer$"):
+            kfold_split(10, 2.5, seed=0)
+
     def test_fold_datasets_partition(self):
         ds = make_dataset(11)
         fa = kfold_split(11, 3, seed=1)

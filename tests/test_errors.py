@@ -1,5 +1,5 @@
 """Tests for the exception hierarchy the exit-code mapping relies on, and
-for the range and choice checks every setting goes through."""
+for the type, range and choice checks every setting goes through."""
 
 import math
 import re
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from socdfn.battsim import CellParams, CycleConfig, simulate_cell
-from socdfn.data import batch_iter, check_fold_count
+from socdfn.data import batch_iter, check_fold_count, check_split_fractions
 from socdfn.errors import (
     ConfigError,
     ContractError,
@@ -77,12 +77,15 @@ def train_config(**changes):
 # it to v): every value that check_range guards.
 RANGE_SETTINGS = {
     "CellParams.capacity_ah": ("capacity_ah", lambda v: CellParams(capacity_ah=v)),
+    "CellParams.ocv_full_v": ("ocv_full_v", lambda v: CellParams(ocv_full_v=v)),
+    "CellParams.ocv_empty_v": ("ocv_empty_v", lambda v: CellParams(ocv_empty_v=v)),
     "CellParams.r_internal_ohm": ("r_internal_ohm", lambda v: CellParams(r_internal_ohm=v)),
     "CellParams.thermal_tau_s": ("thermal_tau_s", lambda v: CellParams(thermal_tau_s=v)),
     "CellParams.ambient_c": ("ambient_c", lambda v: CellParams(ambient_c=v)),
     "CellParams.heat_coeff_k_per_w": (
         "heat_coeff_k_per_w", lambda v: CellParams(heat_coeff_k_per_w=v),
     ),
+    "CycleConfig.duration_s": ("duration_s", lambda v: CycleConfig(duration_s=v)),
     "CycleConfig.dt_s": ("dt_s", lambda v: CycleConfig(dt_s=v)),
     "CycleConfig.peak_discharge_a": (
         "peak_discharge_a", lambda v: CycleConfig(peak_discharge_a=v),
@@ -118,7 +121,18 @@ RANGE_SETTINGS = {
     ),
     "check_jobs": ("jobs", check_jobs),
     "check_fold_count": ("fold count k", check_fold_count),
+    "check_split_fractions.train_frac": (
+        "train_frac", lambda v: check_split_fractions(v, 0.1),
+    ),
+    "check_split_fractions.val_frac": (
+        "val_frac", lambda v: check_split_fractions(0.5, v),
+    ),
 }
+# The settings that count something, so take an integer.
+COUNT_SETTINGS = [
+    "LayerSpec.in_dim", "LayerSpec.out_dim", "make_specs.hidden", "TrainConfig.epochs",
+    "TrainConfig.batch_size", "batch_iter.batch_size", "check_jobs", "check_fold_count",
+]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
@@ -129,6 +143,24 @@ def test_non_finite_setting_is_config_error_naming_it(name, call, value):
     assert str(info.value).startswith(f"{name} ")
 
 
+@pytest.mark.parametrize("value", [True, "1", None], ids=repr)
+@pytest.mark.parametrize("setting", RANGE_SETTINGS)
+def test_wrong_type_setting_is_config_error_naming_it(setting, value):
+    name, call = RANGE_SETTINGS[setting]
+    what = "an integer" if setting in COUNT_SETTINGS else "a number"
+    with pytest.raises(ConfigError) as info:
+        call(value)
+    assert str(info.value) == f"{name} {value!r} is not {what}"
+
+
+@pytest.mark.parametrize("setting", COUNT_SETTINGS)
+def test_non_integer_count_is_config_error_naming_it(setting):
+    name, call = RANGE_SETTINGS[setting]
+    with pytest.raises(ConfigError) as info:
+        call(2.5)
+    assert str(info.value) == f"{name} 2.5 is not an integer"
+
+
 # Range kind -> (values in it, values outside it besides NaN and +/-inf).
 RANGE_KINDS = {
     "positive": ([1e-300, 5.0], [0.0, -1.0]),
@@ -137,7 +169,7 @@ RANGE_KINDS = {
     "in [0, 1)": ([0.0, 0.999], [1.0, -1e-300]),
     "in (0, 100]": ([1e-300, 100.0], [0.0, 100.5]),
     ">= 1": ([1, 10**400], [0, 0.5]),
-    ">= 2": ([2, 2.5], [1, 1.5]),
+    ">= 2": ([2], [1, 1.5]),
     "in [0, 2^64)": ([0, 2**64 - 1], [-1, 2**64]),
 }
 
@@ -152,8 +184,42 @@ def test_check_range_bounds(kind):
             check_range("x", value, kind)
 
 
+# (kind, value of the wrong type, message): a count takes only an integer,
+# a real range any real number, and neither a bool.
+WRONG_TYPES = [
+    (">= 2", 2.5, "x 2.5 is not an integer"),
+    (">= 1", 3.0, "x 3.0 is not an integer"),
+    ("in [0, 2^64)", 1.5, "x 1.5 is not an integer"),
+    (">= 1", "3", "x '3' is not an integer"),
+    ("positive", "1", "x '1' is not a number"),
+    ("finite", True, "x True is not a number"),
+    ("non-negative", None, "x None is not a number"),
+    ("in [0, 1)", np.bool_(False), f"x {np.bool_(False)!r} is not a number"),
+]
+
+
+@pytest.mark.parametrize("kind, value, message", WRONG_TYPES)
+def test_check_range_refuses_the_wrong_type(kind, value, message):
+    with pytest.raises(ConfigError) as info:
+        check_range("x", value, kind)
+    assert str(info.value) == message
+
+
+def test_check_range_takes_numpy_numbers():
+    check_range("x", np.int64(3), ">= 2")
+    check_range("x", np.uint64(2**64 - 1), "in [0, 2^64)")
+    check_range("x", np.float32(0.5), "in [0, 1)")
+    check_range("x", np.int8(4), "positive")
+
+
 def test_check_choice_names_the_choices():
     check_choice("loss", "mae", ("mse", "mae"))
     with pytest.raises(ConfigError) as info:
         check_choice("loss", "huber", ("mse", "mae"))
     assert str(info.value) == "unknown loss 'huber', expected one of ('mse', 'mae')"
+
+
+def test_check_choice_refuses_a_non_string():
+    with pytest.raises(ConfigError) as info:
+        check_choice("activation", ["relu"], ("relu", "linear"))
+    assert str(info.value) == "activation ['relu'] is not a string"

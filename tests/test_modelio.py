@@ -19,7 +19,7 @@ from socdfn.modelio import (
     write_gnuplot_script,
     write_history_csv,
 )
-from socdfn.network import init_network, make_specs, predict
+from socdfn.network import LayerSpec, init_network, make_specs, predict
 from socdfn.rng import make_rng
 from socdfn.train import EpochMetrics
 
@@ -67,6 +67,18 @@ class TestModelRoundTrip:
         save_model(net, norm, path)
         loaded, _, _ = load_model(path)
         assert loaded.layers[0].dropout_after == 0.5
+
+    def test_numpy_integer_dims_survive(self, tmp_path):
+        # LayerSpec stores its dims as int: json.dump refuses a numpy integer.
+        specs = (LayerSpec(np.int64(3), np.int64(4)), LayerSpec(4, np.int64(1), "linear"))
+        net = init_network(specs, seed=0)
+        _, norm = example_model()
+        path = tmp_path / "model.json"
+        save_model(net, norm, path)
+        loaded, _, _ = load_model(path)
+        assert loaded.layers == specs == (LayerSpec(3, 4), LayerSpec(4, 1, "linear"))
+        for a, b in zip(loaded.weights, net.weights):
+            np.testing.assert_array_equal(a, b)
 
     def test_save_twice_is_byte_identical(self, tmp_path):
         net, norm = example_model()
