@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import MIN_WRITTEN_VOLTAGE_V, Dataset
 from .errors import ConfigError, check_range
 from .rng import check_seed, make_rng
 
@@ -25,9 +25,6 @@ logger = logging.getLogger(__name__)
 
 # Fraction of peak discharge allowed as regen (charging) current.
 REGEN_PEAK_FRACTION = 0.5
-# The smallest float that the CSV's 10 mV voltage column prints as 0.01
-# rather than 0.00; load_csv refuses a voltage that is not positive.
-MIN_WRITTEN_VOLTAGE_V = 0.005
 # Steps per slice of a first-order lag: a slice is stepped as a list of
 # Python floats, so no list holds a whole cycle.
 LAG_CHUNK_STEPS = 4096

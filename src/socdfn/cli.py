@@ -8,9 +8,8 @@ Every stochastic subcommand takes --seed and is bit-reproducible under
 it: rerunning the same invocation rewrites byte-identical CSVs and
 model files.
 
-Exit codes: 0 success; 2 usage or configuration error, or a run too
-big for memory; 3 I/O error; 4 schema, shape, or model-format
-violation; 5 numeric failure (loss or prediction went non-finite).
+Each exit code, the errors that end with it and its `--help` line are
+stated once, in `_EXIT_CODES`.
 """
 
 import argparse
@@ -58,9 +57,14 @@ PRESETS = {
     "paper-4h-dropout": {"hidden": 4, "units": 256, "dropout": 0.5},
 }
 
-# Exit code of each error class (see _EPILOG); the first match wins.
+# (exit code, error classes, --help line) of each failure; main exits with
+# the code of the first row whose classes match the error.
 _EXIT_CODES = (
-    (ConfigError, 2), (MemoryError, 2), (NumericError, 5), (SocdfnError, 4), (OSError, 3)
+    (2, (ConfigError, MemoryError),
+     "usage or configuration error, or a run too big for memory"),
+    (5, (NumericError,), "numeric failure (loss or prediction went non-finite)"),
+    (4, (SocdfnError,), "schema/validation error (bad CSV, shape mismatch, bad model file)"),
+    (3, (OSError,), "I/O error (missing or unwritable file)"),
 )
 
 # Argparse dests of the training flags a saved model's meta echoes.
@@ -69,13 +73,9 @@ _TRAIN_META = (
     "l2", "loss",
 )
 
-_EPILOG = """exit codes:
-  0  success
-  2  usage or configuration error, or a run too big for memory
-  3  I/O error (missing or unwritable file)
-  4  schema/validation error (bad CSV, shape mismatch, bad model file)
-  5  numeric failure (loss or prediction went non-finite)
-"""
+_EPILOG = "exit codes:\n  0  success\n" + "".join(
+    f"  {code}  {line}\n" for code, _, line in sorted(_EXIT_CODES)
+)
 
 
 def _add_arch_args(p: argparse.ArgumentParser) -> None:
@@ -397,9 +397,9 @@ def main(argv=None) -> int:
     )
     try:
         args.func(args)
-    except (SocdfnError, OSError, MemoryError) as e:
+    except tuple(cls for _, classes, _ in _EXIT_CODES for cls in classes) as e:
         print(f"error: {e}", file=sys.stderr)
-        return next(code for cls, code in _EXIT_CODES if isinstance(e, cls))
+        return next(code for code, classes, _ in _EXIT_CODES if isinstance(e, classes))
     return EXIT_OK
 
 

@@ -33,6 +33,9 @@ FEATURE_NAMES = _CSV_FIELDS[1:4]
 # survives the round trip essentially intact.
 _ROW_FMT = "%.3f,%.2f,%.3f,%.2f,%.6f\n"
 _PREDICTION_FMT = "%.3f,%.6f\n"
+# The smallest float that _ROW_FMT's 10 mV voltage field prints as 0.01
+# rather than 0.00; load_csv refuses a voltage that is not positive.
+MIN_WRITTEN_VOLTAGE_V = 0.005
 # Rows write_table formats per write call.
 _TABLE_CHUNK_ROWS = 4096
 
@@ -335,7 +338,6 @@ def kfold_split(n: int, k: int, seed: int) -> FoldAssignment:
     check_fold_count(k)
     if k > n:
         raise ConfigError(f"fold count k={k} must satisfy 2 <= k <= n ({n} rows)")
-    check_seed(seed)
     perm = make_rng(seed).permutation(n)
     fold_of = np.empty(n, dtype=np.int64)
     fold_of[perm] = np.arange(n) % k
@@ -376,7 +378,6 @@ def batch_iter(x: np.ndarray, y: np.ndarray, batch_size: int, shuffle_seed: int)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise ShapeError(f"features {x.shape} and targets {y.shape} do not align")
     check_range("batch_size", batch_size, ">= 1")
-    check_seed(shuffle_seed)
     order = make_rng(shuffle_seed).permutation(x.shape[0])
     for start in range(0, len(order), batch_size):
         sel = order[start : start + batch_size]

@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes (see cli.py): configuration
-problems exit 2, I/O problems 3, schema/validation problems 4, numeric
-failures 5. check_range and check_choice hold the one rule for a
+The CLI maps these onto distinct exit codes through its table
+cli._EXIT_CODES. check_range and check_choice hold the one rule for a
 setting's allowed type and values.
 """
 

@@ -225,25 +225,16 @@ def make_specs(hidden: int, units: int, dropout: float) -> tuple[LayerSpec, ...]
     layers. With dropout == 0 every hidden layer is dense.
     """
     check_range("hidden layer count", hidden, ">= 1")
-    if dropout > 0.0:
-        if hidden % 2 != 0:
-            raise ConfigError(
-                f"with dropout, hidden={hidden} must be even: each dense layer "
-                "pairs with one dropout layer"
-            )
-        n_dense = hidden // 2
-    else:
-        n_dense = hidden
-    specs = []
-    prev = len(FEATURE_NAMES)
-    for _ in range(n_dense):
-        specs.append(
-            LayerSpec(in_dim=prev, out_dim=units, activation="relu",
-                      dropout_after=dropout)
+    check_range("units", units, ">= 1")
+    check_range("dropout", dropout, "in [0, 1)")
+    if dropout > 0.0 and hidden % 2 != 0:
+        raise ConfigError(
+            f"with dropout, hidden={hidden} must be even: each dense layer "
+            "pairs with one dropout layer"
         )
-        prev = units
-    specs.append(LayerSpec(in_dim=prev, out_dim=1, activation="linear"))
-    return tuple(specs)
+    widths = [len(FEATURE_NAMES)] + [units] * (hidden // 2 if dropout > 0.0 else hidden)
+    dense = (LayerSpec(a, b, "relu", dropout) for a, b in zip(widths, widths[1:]))
+    return (*dense, LayerSpec(widths[-1], 1, "linear"))
 
 
 def init_network(specs, seed: int) -> Network:

@@ -27,8 +27,8 @@ def check_seed(seed: int) -> int:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """PCG64 stream for a seed. Equal seeds give identical streams."""
-    return np.random.Generator(np.random.PCG64(seed))
+    """PCG64 stream for a seed in [0, 2^64). Equal seeds give identical streams."""
+    return np.random.Generator(np.random.PCG64(check_seed(seed)))
 
 
 def _seed_sequence(seed: int, key) -> np.random.SeedSequence:

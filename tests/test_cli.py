@@ -1,5 +1,6 @@
 """End-to-end tests of the command line, run in-process via main()."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ import pytest
 from conftest import rows_of, run_cli
 
 import socdfn
+from socdfn.cli import _add_train_args
 from socdfn.data import CSV_HEADER, PREDICTION_HEADER, load_csv
 from socdfn.modelio import CV_HEADER, HISTORY_HEADER, load_model, save_model
 from socdfn.network import LayerSpec, Network
@@ -984,6 +986,17 @@ def test_flags_are_checked_before_data_is_read(tmp_path, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--units", "0", "units must be >= 1, got 0"),
+    ("--dropout", "1", "dropout must be in [0, 1), got 1.0"),
+])
+def test_arch_flag_error_names_the_flag_before_data_is_read(tmp_path, flag, value, message):
+    code, out, err = run_cli(["train", "--data", str(tmp_path / "missing.csv"), flag, value])
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--data", "missing.csv", "--train-frac", "2"],
     ["train", "--data", "missing.csv", "--train-frac", "0.5", "--val-frac", "0.5"],
@@ -1045,6 +1058,35 @@ def test_optimizer_flags_reach_the_update_rule(tmp_path, flags, optimizer):
                       reg=RegConfig(), seed=0)
     net, _, _ = fit_datasets(make_specs(hidden=2, units=16, dropout=0.0), train, val, cfg)
     np.testing.assert_array_equal(net.flat, cli_net.flat)
+
+
+# A non-default value of each training flag that a saved model's meta echoes:
+# every dest of _add_train_args but the split and seed ones, which meta
+# records under "split" and "seed".
+ECHOED_TRAIN_FLAGS = {
+    "epochs": 2, "batch_size": 64, "optimizer": "rmsprop", "lr": 0.002, "beta1": 0.8,
+    "beta2": 0.99, "rho": 0.8, "epsilon": 1e-07, "l1": 0.0001, "l2": 0.001, "loss": "mae",
+}
+
+
+def test_model_meta_echoes_every_training_flag(cycle_csv, tmp_path):
+    parser = argparse.ArgumentParser()
+    _add_train_args(parser)
+    defaults = vars(parser.parse_args([]))
+    option = {action.dest: action.option_strings[0] for action in parser._actions}
+    for dest in ("train_frac", "val_frac", "no_shuffle", "seed"):
+        del defaults[dest]
+    assert set(defaults) == set(ECHOED_TRAIN_FLAGS)
+    flags = []
+    for dest, value in ECHOED_TRAIN_FLAGS.items():
+        assert value != defaults[dest], dest
+        flags += [option[dest], str(value)]
+    model = tmp_path / "model.json"
+    code, _, err = run_cli(["train", "--data", str(cycle_csv), "--hidden", "1", "--units", "8",
+                            "--model-out", str(model), *flags])
+    assert code == 0, err
+    _, _, meta = load_model(model)
+    assert meta["train"] == ECHOED_TRAIN_FLAGS
 
 
 class TestParser:

@@ -8,10 +8,12 @@ import pytest
 from conftest import dataset_from_rows, rows_of
 
 from socdfn.data import (
+    _CSV_FIELDS,
     _PREDICTION_FMT,
     _ROW_FMT,
     CSV_HEADER,
     FEATURES_HEADER,
+    MIN_WRITTEN_VOLTAGE_V,
     Dataset,
     apply_normalizer,
     batch_iter,
@@ -281,6 +283,12 @@ class TestCsvRoundTrip:
         assert np.all(np.abs(back.current - ds.current) <= 0.0005 + 1e-12)
         assert np.all(np.abs(back.temperature - ds.temperature) <= 0.005 + 1e-12)
         assert np.all(np.abs(back.soc - ds.soc) <= 5e-7 + 1e-12)
+
+    def test_written_voltage_floor_is_the_smallest_that_prints_positive(self):
+        # gen-data refuses a cycle whose voltage would print as 0.00.
+        voltage_fmt = _ROW_FMT.split(",")[_CSV_FIELDS.index("voltage_v")]
+        assert voltage_fmt % MIN_WRITTEN_VOLTAGE_V == "0.01"
+        assert voltage_fmt % np.nextafter(MIN_WRITTEN_VOLTAGE_V, 0) == "0.00"
 
     def test_predictions_csv(self, tmp_path):
         path = tmp_path / "pred.csv"

@@ -1,5 +1,5 @@
 """Tests for the exception hierarchy the exit-code mapping relies on, and
-for the type, range and choice checks every setting goes through."""
+for the type, range and choice checks every setting and seed goes through."""
 
 import math
 import re
@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from socdfn.battsim import CellParams, CycleConfig, simulate_cell
-from socdfn.data import batch_iter, check_fold_count, check_split_fractions
+from socdfn.data import (
+    Dataset, batch_iter, check_fold_count, check_split_fractions, kfold_split, split_holdout,
+)
 from socdfn.errors import (
     ConfigError,
     ContractError,
@@ -21,8 +23,9 @@ from socdfn.errors import (
     check_choice,
     check_range,
 )
-from socdfn.network import LayerSpec, RegConfig, make_specs
+from socdfn.network import LayerSpec, RegConfig, init_network, make_specs
 from socdfn.optimize import OptimizerConfig
+from socdfn.rng import make_rng
 from socdfn.train import TrainConfig, check_jobs
 
 
@@ -112,6 +115,8 @@ RANGE_SETTINGS = {
         "dropout_after", lambda v: LayerSpec(3, 4, dropout_after=v),
     ),
     "make_specs.hidden": ("hidden layer count", lambda v: make_specs(v, 8, 0.0)),
+    "make_specs.units": ("units", lambda v: make_specs(2, v, 0.0)),
+    "make_specs.dropout": ("dropout", lambda v: make_specs(2, 8, v)),
     "RegConfig.l1": ("l1", lambda v: RegConfig(l1=v)),
     "RegConfig.l2": ("l2", lambda v: RegConfig(l2=v)),
     "TrainConfig.epochs": ("epochs", lambda v: train_config(epochs=v)),
@@ -130,8 +135,9 @@ RANGE_SETTINGS = {
 }
 # The settings that count something, so take an integer.
 COUNT_SETTINGS = [
-    "LayerSpec.in_dim", "LayerSpec.out_dim", "make_specs.hidden", "TrainConfig.epochs",
-    "TrainConfig.batch_size", "batch_iter.batch_size", "check_jobs", "check_fold_count",
+    "LayerSpec.in_dim", "LayerSpec.out_dim", "make_specs.hidden", "make_specs.units",
+    "TrainConfig.epochs", "TrainConfig.batch_size", "batch_iter.batch_size", "check_jobs",
+    "check_fold_count",
 ]
 
 
@@ -159,6 +165,26 @@ def test_non_integer_count_is_config_error_naming_it(setting):
     with pytest.raises(ConfigError) as info:
         call(2.5)
     assert str(info.value) == f"{name} 2.5 is not an integer"
+
+
+TEN_ROWS = Dataset(*np.ones((5, 10)))
+# Test id -> a call that takes v as its seed, whether or not it draws a stream.
+SEED_CALLS = {
+    "make_rng": make_rng,
+    "init_network": lambda v: init_network(make_specs(1, 4, 0.0), v),
+    "kfold_split": lambda v: kfold_split(10, 2, v),
+    "batch_iter": lambda v: next(batch_iter(np.zeros((4, 3)), np.zeros(4), 2, v)),
+    "split_holdout.shuffled": lambda v: split_holdout(TEN_ROWS, 0.6, 0.2, v),
+    "split_holdout.positional": lambda v: split_holdout(TEN_ROWS, 0.6, 0.2, v, shuffle=False),
+}
+
+
+@pytest.mark.parametrize("value", [-1, 2**64, 1.5, True, "3", math.nan], ids=repr)
+@pytest.mark.parametrize("call", SEED_CALLS.values(), ids=SEED_CALLS)
+def test_bad_seed_is_config_error_naming_it(call, value):
+    with pytest.raises(ConfigError) as info:
+        call(value)
+    assert str(info.value).startswith("seed ")
 
 
 # Range kind -> (values in it, values outside it besides NaN and +/-inf).
