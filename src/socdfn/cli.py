@@ -20,6 +20,12 @@ import os
 import sys
 from functools import partial
 
+# OpenBLAS reads this once, when numpy first loads it (there is no runtime
+# setter), so it precedes the first import that loads numpy. 4, its minimum,
+# makes an idle worker sleep at once instead of spinning about 0.1 s through
+# the single-threaded work between products. A value the user set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from . import __version__
 from .battsim import CellParams, CycleConfig, synth_dataset
 from .data import (
@@ -43,7 +49,9 @@ from .modelio import (
 from .network import LOSS_KINDS, make_specs, predict_soc, RegConfig
 from .optimize import OPTIMIZER_KINDS, OptimizerConfig
 from .rng import BIT_GENERATOR
-from .train import TrainConfig, check_jobs, cross_validate, evaluate, fit_datasets, holdout
+from .train import (
+    TrainConfig, _usable_cpus, check_jobs, cross_validate, evaluate, fit_datasets, holdout
+)
 
 # Not __name__, which is "__main__" under `python -m socdfn.cli`.
 logger = logging.getLogger("socdfn.cli")
@@ -289,7 +297,7 @@ def cmd_train(args) -> None:
 
 def cmd_crossval(args) -> None:
     check_fold_count(args.k)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs is not None else _usable_cpus()
     check_jobs(jobs)
     plan = _plan_outputs([args.data], [args.report_out])
     _, specs, cfg, (train_ds, val_ds, _) = _setup(args)
@@ -372,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p)
     p.add_argument("--report-out", help="write the per-fold report CSV here")
     p.add_argument(
-        "--jobs", type=int, help="parallel fold workers (default: k capped at CPUs)"
+        "--jobs", type=int, help="parallel fold workers (default: k capped at usable CPUs)"
     )
     p.set_defaults(func=cmd_crossval)
 

@@ -196,6 +196,13 @@ def _openblas_thread_fns():
     return None
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask, not the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @contextlib.contextmanager
 def _blas_threads_per_worker(workers: int):
     """Share the cores among `workers` threads that each call BLAS.
@@ -212,7 +219,7 @@ def _blas_threads_per_worker(workers: int):
         return
     set_threads, get_threads = fns
     previous = get_threads()
-    set_threads(max(1, min(previous, (os.cpu_count() or 1) // workers)))
+    set_threads(max(1, min(previous, _usable_cpus() // workers)))
     try:
         yield
     finally:
@@ -233,7 +240,8 @@ def cross_validate(
     cfg.seed replaced by derive_seed(cfg.seed, "fold", j). Folds are
     independent, so they run in a pool of W = min(jobs, k) threads, with
     the same histories for any W. While the pool runs, OpenBLAS gets
-    cpu_count // W threads per worker, at most its own setting.
+    C // W threads per worker, at least one and at most its own setting,
+    where C counts the CPUs this process may run on.
     """
     check_jobs(jobs)
     assignment = kfold_split(len(pool), k, derive_seed(cfg.seed, "folds"))

@@ -667,6 +667,46 @@ def test_predict_and_evaluate_do_not_load_numpy_random(trained, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# Prints what OpenBLAS read from OPENBLAS_THREAD_TIMEOUT when numpy
+# loaded it (0 when unset), through the handle train._openblas_thread_fns
+# uses, or "absent" for a BLAS without the getter.
+THREAD_TIMEOUT_CHILD = """
+import ctypes
+import socdfn.cli
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath
+lib = ctypes.CDLL(_multiarray_umath.__file__)
+getter = getattr(lib, "openblas_thread_timeout", None)
+if getter is None:
+    print("absent")
+else:
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    print(getter())
+"""
+
+
+@pytest.mark.parametrize("env_value, expected", [(None, 4), ("12", 12)])
+def test_cli_lets_idle_openblas_workers_sleep(env_value, expected):
+    # A fresh interpreter: OpenBLAS reads the variable only when numpy
+    # first loads it, and this process loaded numpy before socdfn.cli.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = str(Path(socdfn.__file__).parents[1])
+    if env_value is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = env_value
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_TIMEOUT_CHILD],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "absent":
+        pytest.skip("numpy's BLAS exports no openblas_thread_timeout, so it has no "
+                    "idle policy to read")
+    assert int(proc.stdout) == expected
+
+
 @pytest.mark.parametrize("command", ["train", "crossval-jobs1", "crossval-jobs2"])
 def test_divergence_reports_error_without_numpy_warnings(cycle_csv, command):
     # A separate interpreter with Python's default warning filters, as

@@ -34,9 +34,16 @@ for rows in (4500, 16385):
 """
 
 
-def child(argv, threads: int, cwd=None) -> str:
-    """stdout of a Python child with OPENBLAS_NUM_THREADS set in its env only."""
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=str(threads))
+def child(argv, threads: int, cwd=None, thread_timeout=None) -> str:
+    """stdout of a Python child with OPENBLAS_NUM_THREADS set in its env only.
+
+    OPENBLAS_THREAD_TIMEOUT is thread_timeout when given, else unset, so
+    a socdfn.cli child runs with the CLI's default.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env.update(PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=str(threads))
+    if thread_timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = thread_timeout
     proc = subprocess.run(
         [sys.executable, *argv], env=env, cwd=cwd, capture_output=True, text=True
     )
@@ -79,6 +86,26 @@ def test_crossval_report_does_not_depend_on_jobs(tmp_path):
                "--report-out", out.name], threads=2, cwd=tmp_path)
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_outputs_do_not_depend_on_the_blas_idle_policy(tmp_path):
+    # The CLI's default lets an idle OpenBLAS worker sleep at once; 30
+    # keeps it spinning for its longest wait. Waking a worker must not
+    # change how a product is split, so every byte stays.
+    code, _, err = run_cli(["gen-data", "--out", str(tmp_path / "cycle.csv"),
+                            "--duration", "4000"])
+    assert code == 0, err
+    outputs = []
+    for thread_timeout in (None, "30"):
+        tag = thread_timeout or "default"
+        names = [f"{tag}-model.json", f"{tag}-history.csv", f"{tag}-predictions.csv"]
+        child(["-m", "socdfn.cli", "train", "--data", "cycle.csv", "--preset", "paper-2h",
+               "--epochs", "2", "--model-out", names[0], "--history-out", names[1]],
+              threads=2, cwd=tmp_path, thread_timeout=thread_timeout)
+        child(["-m", "socdfn.cli", "predict", "--model", names[0], "--data", "cycle.csv",
+               "--out", names[2]], threads=2, cwd=tmp_path, thread_timeout=thread_timeout)
+        outputs.append([(tmp_path / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
 
 
 def test_every_stream_has_its_own_key(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import dataset_from_rows
+from conftest import dataset_from_rows, run_cli
 
 from socdfn.data import apply_normalizer, fit_normalizer, fold_datasets, kfold_split
 from socdfn.errors import ConfigError, NumericError
@@ -25,7 +25,7 @@ from socdfn.network import (
     predict,
 )
 from socdfn.optimize import OptimizerConfig, apply_update, init_state
-from socdfn import train
+from socdfn import cli, train
 from socdfn.modelio import cv_table
 from socdfn.rng import derive_seed, make_rng
 from socdfn.train import (
@@ -389,7 +389,7 @@ class TestBlasThreadsPerWorker:
         pool = affine_dataset(80, seed=21)
         specs = make_specs(hidden=1, units=8, dropout=0.0)
         cross_validate(pool, specs, 4, small_cfg(epochs=1, batch_size=16), jobs=2)
-        assert seen == [max(1, os.cpu_count() // 2)] * 4
+        assert seen == [max(1, train._usable_cpus() // 2)] * 4
         assert get_threads() == before
 
     def test_serial_run_keeps_the_thread_count(self, monkeypatch):
@@ -414,14 +414,14 @@ class TestBlasThreadsPerWorker:
         cfg = small_cfg(optimizer=OptimizerConfig(kind="sgd", learning_rate=1e12))
         with pytest.raises(NumericError, match="diverged"):
             cross_validate(pool, specs, 2, cfg, jobs=2)
-        assert seen == [max(1, os.cpu_count() // 2)] * 2
+        assert seen == [max(1, train._usable_cpus() // 2)] * 2
         assert get_threads() == before
 
     def test_cap_never_raises_the_process_setting(self, monkeypatch):
         set_threads, get_threads = _OPENBLAS
         seen = self.record_threads_in_fit(monkeypatch)
         before = get_threads()
-        monkeypatch.setattr(train.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(train, "_usable_cpus", lambda: 8)
         set_threads(1)
         try:
             pool = affine_dataset(80, seed=21)
@@ -431,6 +431,28 @@ class TestBlasThreadsPerWorker:
         finally:
             set_threads(before)
         assert seen == [1] * 4
+
+    def test_one_allowed_cpu_gives_one_worker_of_one_thread(
+        self, monkeypatch, small_cycle_csv
+    ):
+        # Pinned to one CPU of a bigger machine (as under `taskset -c 0`),
+        # the default --jobs and the per-worker cap count that CPU alone.
+        seen = self.record_threads_in_fit(monkeypatch)
+        jobs = []
+        real_cross_validate = cli.cross_validate
+
+        def recording_cross_validate(*args, **kwargs):
+            jobs.append(kwargs["jobs"])
+            return real_cross_validate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cross_validate", recording_cross_validate)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        code, _, err = run_cli(["crossval", "--data", str(small_cycle_csv), "--k", "2",
+                                "--hidden", "1", "--units", "8", "--epochs", "1"])
+        assert code == 0, err
+        assert jobs == [1]
+        assert seen == [1] * 2
 
 
 class TestEvaluate:

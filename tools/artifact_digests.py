@@ -1,8 +1,25 @@
 """Print the sha256 of every artifact a fixed set of CLI runs writes.
 
 A refactor that is meant to keep behaviour shows it by byte-identical
-outputs before and after. Run this once against each source tree and
-diff the two listings:
+outputs before and after. tools/artifact_digests.txt holds the listing
+of the last commit that changed an output; check a source tree against
+it with
+
+    python tools/artifact_digests.py --check src
+
+which exits 0 when every digest matches and 1 when one differs or a
+command fails, naming each changed, missing or new artifact. The
+listing's header is a fingerprint of the host that made it: numpy's
+version, its BLAS name and version, the CPU's SIMD level and Python's
+version. Another BLAS build or instruction set can round a product
+differently, so when the fingerprints differ --check runs nothing and
+exits 3. Regenerate the reference on that host from the commit it should
+describe, or after a change that is meant to alter outputs, with
+
+    python tools/artifact_digests.py src > tools/artifact_digests.txt
+
+and its git diff then lists the changed digests. Two listings made on
+one host can also be diffed by hand:
 
     python tools/artifact_digests.py OLD_CHECKOUT/src > old.txt
     python tools/artifact_digests.py src > new.txt
@@ -28,8 +45,9 @@ runs `gen-data`, `predict` and `evaluate` on a 16385-row cycle, which
 `predict` cuts into 17 unequal inference blocks of 963-964 rows that
 share one set of buffers. That cycle is 4 x 4096 + 1 steps, so
 `gen-data` steps its thermal lag as four full `battsim.LAG_CHUNK_STEPS`
-chunks and a last chunk of one step. It prints one `sha256  name` line
-per output file and per stdout, sorted by name.
+chunks and a last chunk of one step. It prints the fingerprint as `# key
+value` lines, then one `sha256  name` line per output file and per
+stdout, sorted by name.
 Every command runs in the same temporary directory with bare relative
 file names, because the model's meta and the gen-data and predict
 stdout echo the paths they were given. A command that exits non-zero
@@ -40,10 +58,17 @@ stops the script with its stderr. One run takes about 50 s on a
 import argparse
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+
+REFERENCE = Path(__file__).with_suffix(".txt")
+EXIT_DIFFERS = 1
+EXIT_OTHER_HOST = 3
 
 SEEDS = (0, 1, 2)
 EPOCHS = 3
@@ -131,19 +156,90 @@ def run_seed(src: Path, workdir: Path, seed: int) -> None:
         f"{s}-evaluate-blocks.stdout")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("src", type=Path, help="source root that holds the socdfn package")
-    args = parser.parse_args(argv)
-    src = args.src.resolve()
-    if not (src / "socdfn" / "cli.py").is_file():
-        parser.error(f"{src} holds no socdfn/cli.py")
+def fingerprint() -> dict[str, str]:
+    """What decides how this host rounds: numpy, its BLAS, the CPU's SIMD, Python."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config["SIMD Extensions"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "simd": " ".join([*simd["baseline"], *simd["found"]]),
+        "python": platform.python_version(),
+    }
+
+
+def digests(src: Path) -> dict[str, str]:
+    """{file name: sha256} of every artifact the runs of each seed write."""
     with tempfile.TemporaryDirectory(prefix="socdfn-digests-") as tmp:
         workdir = Path(tmp)
         for seed in SEEDS:
             run_seed(src, workdir, seed)
-        for path in sorted(workdir.iterdir()):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(workdir.iterdir())}
+
+
+def read_listing(path: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """(fingerprint, digests) of a listing this script printed."""
+    host, found = {}, {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("# "):
+            key, value = line[2:].split(" ", 1)
+            host[key] = value
+        else:
+            digest, name = line.split("  ", 1)
+            found[name] = digest
+    return host, found
+
+
+def check(src: Path) -> int:
+    """Compare src's digests with the reference; the exit code of --check."""
+    ref_host, ref = read_listing(REFERENCE)
+    host = fingerprint()
+    if host != ref_host:
+        for key in sorted(host.keys() | ref_host.keys()):
+            if host.get(key) != ref_host.get(key):
+                print(f"{key}: reference {ref_host.get(key)}, this host {host.get(key)}",
+                      file=sys.stderr)
+        print(f"{REFERENCE.name} was made on another host, whose products may round "
+              "differently; regenerate it here from the commit it should describe",
+              file=sys.stderr)
+        return EXIT_OTHER_HOST
+    now = digests(src)
+    names = sorted(ref.keys() | now.keys())
+    differ = 0
+    for name in names:
+        if now.get(name) != ref.get(name):
+            differ += 1
+            label = "missing" if name not in now else "new" if name not in ref else "changed"
+            print(f"{label}  {name}")
+    if differ:
+        print(f"{differ} of {len(names)} artifacts differ from {REFERENCE.name}",
+              file=sys.stderr)
+        return EXIT_DIFFERS
+    print(f"all {len(now)} digests match {REFERENCE.name}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", type=Path, help="source root that holds the socdfn package")
+    parser.add_argument(
+        "--check", action="store_true",
+        help=f"compare with {REFERENCE.name} instead of printing; exit {EXIT_DIFFERS} "
+        f"naming each artifact that differs, {EXIT_OTHER_HOST} if this host's "
+        "fingerprint is not the reference's",
+    )
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "socdfn" / "cli.py").is_file():
+        parser.error(f"{src} holds no socdfn/cli.py")
+    if args.check:
+        return check(src)
+    for key, value in fingerprint().items():
+        print(f"# {key} {value}")
+    for name, digest in digests(src).items():
+        print(f"{digest}  {name}")
     return 0
 
 
