@@ -46,11 +46,11 @@ from .modelio import (
     write_gnuplot_script,
     write_history_csv,
 )
-from .network import LOSS_KINDS, make_specs, predict_soc, RegConfig
+from .network import LOSS_KINDS, _usable_cpus, make_specs, predict_soc, RegConfig
 from .optimize import OPTIMIZER_KINDS, OptimizerConfig
 from .rng import BIT_GENERATOR
 from .train import (
-    TrainConfig, _usable_cpus, check_jobs, cross_validate, evaluate, fit_datasets, holdout
+    TrainConfig, check_jobs, cross_validate, evaluate, fit_datasets, holdout
 )
 
 # Not __name__, which is "__main__" under `python -m socdfn.cli`.

@@ -38,6 +38,12 @@ _PREDICTION_FMT = "%.3f,%.6f\n"
 MIN_WRITTEN_VOLTAGE_V = 0.005
 # Rows write_table formats per write call.
 _TABLE_CHUNK_ROWS = 4096
+# Characters _read_columns reads per chunk, about 1600 rows of _ROW_FMT.
+_CHUNK_CHARS = 1 << 16
+# A number is ASCII text that float() parses and that holds none of
+# these: float() skips digit-group underscores and surrounding
+# whitespace, and numpy's reader also skips \x1c-\x1f.
+_NOT_IN_NUMBERS = ("_", " ", "\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,10 +122,10 @@ def load_features_csv(path) -> Dataset:
 def _read_columns(path, require_soc: bool) -> np.ndarray:
     """(5, n) array of the file's columns; reports the file's first bad line.
 
-    Lines are split and parsed one at a time up to the first blank line,
-    wrong field count or unparsable token. The value checks then run
-    per column over the rows before it, so a bad value on an earlier
-    line is reported first.
+    Lines are read in chunks of about _CHUNK_CHARS characters, each
+    parsed up to the first blank line, wrong field count or token that
+    is not a number. The value checks then run per column over the rows
+    before it, so a bad value on an earlier line is reported first.
     """
     headers = (CSV_HEADER,) if require_soc else (CSV_HEADER, FEATURES_HEADER)
     flat = array("d")
@@ -131,22 +137,10 @@ def _read_columns(path, require_soc: bool) -> np.ndarray:
             expected = " or ".join(map(repr, headers))
             raise DataError(f"bad header {header!r}, expected {expected}", line=1)
         n_fields = header.count(",") + 1
-        for line_no, raw in enumerate(fh, start=2):
-            fields = raw.rstrip("\r\n").split(",")
-            if len(fields) != n_fields:
-                message = (
-                    "blank line" if fields == [""]
-                    else f"expected {n_fields} fields, got {len(fields)}"
-                )
-                fault = DataError(message, line=line_no)
-                break
-            try:
-                flat.extend(map(float, fields))
-            except ValueError:
-                token = next(f for f in fields if not _parses(f))
-                fault = DataError(f"cannot parse {token!r} as a number", line=line_no)
-                break
-    # Floor division drops the values a failed line parsed before its bad token.
+        line_no = 2
+        while fault is None and (lines := fh.readlines(_CHUNK_CHARS)):
+            fault = _parse_chunk(lines, n_fields, line_no, flat)
+            line_no += len(lines)
     n_rows = len(flat) // n_fields
     rows = np.frombuffer(flat, count=n_rows * n_fields).reshape(n_rows, n_fields)
     columns = np.zeros((len(_CSV_FIELDS), n_rows))
@@ -159,7 +153,47 @@ def _read_columns(path, require_soc: bool) -> np.ndarray:
     return columns
 
 
-def _parses(token: str) -> bool:
+def _parse_chunk(lines, n_fields: int, first_line: int, flat: array) -> DataError | None:
+    """Append the chunk's rows to flat up to its first bad line; that line's error.
+
+    numpy's C reader parses a chunk of numbers in one call. A chunk it
+    refuses, or one with a blank line or a token outside the number
+    grammar, is parsed again line by line, which finds the bad line.
+    """
+    text = "".join(lines)
+    # loadtxt skips blank lines, and warns on a chunk that holds nothing else.
+    if _is_plain(text) and not text.startswith("\n") and "\n\n" not in text:
+        try:
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(lines), n_fields):
+                flat.frombytes(memoryview(values).cast("B"))
+                return None
+    for line_no, raw in enumerate(lines, start=first_line):
+        fields = raw.rstrip("\r\n").split(",")
+        if len(fields) != n_fields:
+            message = (
+                "blank line" if fields == [""]
+                else f"expected {n_fields} fields, got {len(fields)}"
+            )
+            return DataError(message, line=line_no)
+        token = next((f for f in fields if not _is_number(f)), None)
+        if token is not None:
+            return DataError(f"cannot parse {token!r} as a number", line=line_no)
+        flat.extend(map(float, fields))
+    return None
+
+
+def _is_plain(text: str) -> bool:
+    """ASCII without the underscores and whitespace float() would skip."""
+    return text.isascii() and not any(c in text for c in _NOT_IN_NUMBERS)
+
+
+def _is_number(token: str) -> bool:
+    if not _is_plain(token):
+        return False
     try:
         float(token)
     except ValueError:

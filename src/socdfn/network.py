@@ -12,7 +12,14 @@ L1 subgradient at exactly zero is taken as zero.
 # Annotations stay strings: forward's np.random.Generator loads no numpy.random.
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
+import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +32,10 @@ from .rng import make_rng
 
 ACTIVATIONS = ("relu", "linear")
 LOSS_KINDS = ("mse", "mae")
-# Rows per inference block in predict(): 1024 x 256 float64 is 2 MB, so
-# a layer array stays in cache from its matrix product through the bias
-# add and the ReLU.
-INFERENCE_BLOCK_ROWS = 1024
+# Rows per inference block in predict(): 512 x 256 float64 is 1 MB, so
+# one worker's two layer arrays fit a core's 2 MB L2 cache from the
+# matrix product through the bias add and the ReLU.
+INFERENCE_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -188,8 +195,8 @@ class StepBuffers:
     layer arrays, masks, deltas, gradients and scratch vectors here, so
     the next call with the same buffers overwrites what a call returned.
     Without buffers a call uses a fresh StepBuffers, so no later call
-    touches its results. One train_epoch or predict call owns one; it is
-    not shared between threads.
+    touches its results. One train_epoch call or predict worker owns
+    one; it is not shared between threads.
     """
 
     def __init__(self):
@@ -431,18 +438,121 @@ def predict(net: Network, x: np.ndarray) -> np.ndarray:
     No block has one row unless x does: numpy sends a one-row
     product to BLAS's matrix-vector routine, which rounds differently
     from the matrix product, so the bits equal one forward over x. The
-    blocks are cut from the end, so the first is a largest one and every
-    block writes its layer arrays into the first block's buffers.
+    larger blocks come first, and each worker takes the next block in
+    row order, so every block a worker runs fits the buffers of its
+    first one.
+
+    The blocks run on _row_workers(blocks) threads, the calling one
+    among them, each with one OpenBLAS thread; the process-wide count is
+    put back afterwards, also when a block raises. Every worker runs in
+    a copy of the caller's context, so an np.errstate entered around
+    this call reaches it. A row's bits do not depend on the worker count.
     """
     x = _check_input(net, x)
     n = x.shape[0]
     pred = np.empty(n, dtype=np.float64)
-    blocks = -(-n // INFERENCE_BLOCK_ROWS)
-    buffers = StepBuffers()
-    for j in range(blocks, 0, -1):
-        rows = slice(n - j * n // blocks, n - (j - 1) * n // blocks)
-        pred[rows], _ = forward(net, x[rows], mode="inference", buffers=buffers)
+    blocks = max(1, -(-n // INFERENCE_BLOCK_ROWS))
+    size, larger = divmod(n, blocks)
+    todo = iter(range(blocks))
+
+    def run_blocks():
+        buffers = StepBuffers()
+        for j in todo:
+            start = j * size + min(j, larger)
+            rows = slice(start, start + size + (j < larger))
+            pred[rows], _ = forward(net, x[rows], mode="inference", buffers=buffers)
+
+    workers = _row_workers(blocks)
+    if workers == 1:
+        run_blocks()
+        return pred
+    with _blas_thread_cap(1), ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [
+            pool.submit(contextvars.copy_context().run, run_blocks)
+            for _ in range(workers - 1)
+        ]
+        run_blocks()
+        for helper in helpers:
+            helper.result()
     return pred
+
+
+def _row_workers(blocks: int) -> int:
+    """Threads predict runs its blocks on: OpenBLAS's thread count, at most blocks.
+
+    Only on the main thread: a predict in a crossval fold thread, or
+    with one BLAS thread or another BLAS, runs its blocks serially.
+    """
+    fns = _openblas_thread_fns()
+    if fns is None or blocks < 2 or threading.current_thread() is not threading.main_thread():
+        return 1
+    return min(fns[1](), blocks)
+
+
+@functools.cache
+def _openblas_thread_fns():
+    """(set, get) of the thread count of the OpenBLAS numpy links, or None.
+
+    Looked up once per process in numpy's BLAS-linked extension module;
+    dlsym on its handle also searches the libraries it depends on. Other
+    BLAS builds (MKL, Accelerate) and platforms without these symbols
+    give None.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return setter, getter
+    return None
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask, not the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _blas_thread_cap(cap: int):
+    """Cap OpenBLAS's thread count at cap for the block; it is never raised.
+
+    The count is process-wide, so it is put back when the block exits,
+    normally or by an exception. Without OpenBLAS this does nothing.
+    """
+    fns = _openblas_thread_fns()
+    if fns is None:
+        yield
+        return
+    set_threads, get_threads = fns
+    previous = get_threads()
+    set_threads(min(previous, cap))
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
+def _blas_threads_per_worker(workers: int):
+    """Share the cores among `workers` threads that each call BLAS.
+
+    Without this every worker's matmuls start OpenBLAS's full thread
+    team, and the teams fight over the same cores.
+    """
+    return _blas_thread_cap(max(1, _usable_cpus() // workers))
 
 
 def predict_finite(net: Network, norm: Normalizer, dataset: Dataset) -> np.ndarray:

@@ -8,10 +8,7 @@ the epoch. Losses include the L1/L2 penalty on both sides; MAE columns
 are pure mean absolute error in SOC percentage points.
 """
 
-import contextlib
-import ctypes
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -33,6 +30,7 @@ from .network import (
     Network,
     RegConfig,
     StepBuffers,
+    _blas_threads_per_worker,
     backward,
     data_loss,
     forward,
@@ -166,64 +164,6 @@ def fit_datasets(
     x_train, x_val = (apply_normalizer(norm, ds) for ds in (train_ds, val_ds))
     net = init_network(specs, derive_seed(cfg.seed, "init"))
     return net, norm, fit(net, x_train, train_ds.soc, x_val, val_ds.soc, cfg)
-
-
-def _openblas_thread_fns():
-    """(set, get) of the thread count of the OpenBLAS numpy links, or None.
-
-    Looked up in numpy's BLAS-linked extension module; dlsym on its
-    handle also searches the libraries it depends on. Other BLAS builds
-    (MKL, Accelerate) and platforms without these symbols give None.
-    """
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath
-    try:
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-    except OSError:
-        return None
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            if setter is not None and getter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                return setter, getter
-    return None
-
-
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on: its affinity mask, not the machine."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def _blas_threads_per_worker(workers: int):
-    """Share the cores among `workers` threads that each call BLAS.
-
-    Without this every fold thread's matmuls start OpenBLAS's full
-    thread team, and the teams fight over the same cores. The cap never
-    raises the count above the process's own setting. The count is
-    process-wide, so it is put back when the block exits, normally or
-    by an exception.
-    """
-    fns = _openblas_thread_fns()
-    if fns is None:
-        yield
-        return
-    set_threads, get_threads = fns
-    previous = get_threads()
-    set_threads(max(1, min(previous, _usable_cpus() // workers)))
-    try:
-        yield
-    finally:
-        set_threads(previous)
 
 
 def check_jobs(jobs: int) -> None:

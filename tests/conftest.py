@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from socdfn.battsim import CellParams, CycleConfig, synth_dataset
 from socdfn.cli import main
 from socdfn.data import Dataset
+from socdfn import network
 from socdfn.network import data_loss, forward, penalty
 
 
@@ -88,3 +90,29 @@ def small_cycle_csv(small_cycle, tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "small_cycle.csv"
     write_csv(small_cycle, path)
     return path
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """predict runs its blocks on two threads whatever the host's BLAS."""
+    monkeypatch.setattr(network, "_row_workers", lambda blocks: min(2, blocks))
+
+
+@pytest.fixture
+def two_busy_workers(monkeypatch, two_workers):
+    """Two predict workers, each held at its first block until the other has one.
+
+    Otherwise a fast worker can take every block before the other
+    starts. For one predict call of at least two blocks.
+    """
+    barrier = threading.Barrier(2, timeout=10.0)
+    started = threading.local()
+    real = network.forward
+
+    def forward_on_both(*args, **kwargs):
+        if not getattr(started, "done", False):
+            started.done = True
+            barrier.wait()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(network, "forward", forward_on_both)

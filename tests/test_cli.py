@@ -18,7 +18,7 @@ from conftest import rows_of, run_cli
 
 import socdfn
 from socdfn.cli import _add_train_args
-from socdfn.data import CSV_HEADER, PREDICTION_HEADER, load_csv
+from socdfn.data import _CHUNK_CHARS, CSV_HEADER, PREDICTION_HEADER, load_csv
 from socdfn.modelio import CV_HEADER, HISTORY_HEADER, load_model, save_model
 from socdfn.network import LayerSpec, Network
 
@@ -382,6 +382,16 @@ class TestTrain:
         assert code == 4
         assert "line 2" in err
 
+    @pytest.mark.parametrize("token", ["4_2", " 1", "1 ", "\u0661"])
+    def test_number_outside_the_grammar_is_exit_4(self, tmp_path, token):
+        # float() would read each of these, as 42.0 or 1.0.
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{CSV_HEADER}\n0,4.2,0,25,50\n1,4.2,{token},25,50\n",
+                       encoding="utf-8")
+        code, _, err = run_cli(["train", "--data", str(bad), "--epochs", "1"])
+        assert code == 4
+        assert f"line 3: cannot parse {token!r} as a number" in err
+
     def test_divergence_is_exit_5(self, cycle_csv):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -583,6 +593,29 @@ def test_overflow_reports_error_without_numpy_warnings(trained, tmp_path, comman
     assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("blank_lines", [1, 3])
+def test_trailing_blank_lines_are_exit_4_without_numpy_warnings(tmp_path, blank_lines):
+    # The 1025 rows of 64 characters end the first 64 KiB chunk, so the
+    # next chunk holds only blank lines. A separate interpreter with
+    # Python's default warning filters, so a warning would print.
+    row = ",4.20,-0.500,25.00,50.000000"
+    rows = [f"{i:0{63 - len(row)}d}{row}" for i in range(1025)]
+    path = tmp_path / "cycle.csv"
+    path.write_text("\n".join([CSV_HEADER, *rows, *[""] * blank_lines]) + "\n",
+                    encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        assert fh.readlines(_CHUNK_CHARS) == [line + "\n" for line in rows]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(socdfn.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "socdfn.cli", "train", "--data", str(path), "--epochs", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr == "error: line 1027: blank line\n"
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 @pytest.mark.parametrize("body, message", [
     (b"[" * 200_000 + b"]" * 200_000, "corrupt model file"),
@@ -668,7 +701,7 @@ def test_predict_and_evaluate_do_not_load_numpy_random(trained, tmp_path):
 
 
 # Prints what OpenBLAS read from OPENBLAS_THREAD_TIMEOUT when numpy
-# loaded it (0 when unset), through the handle train._openblas_thread_fns
+# loaded it (0 when unset), through the handle network._openblas_thread_fns
 # uses, or "absent" for a BLAS without the getter.
 THREAD_TIMEOUT_CHILD = """
 import ctypes

@@ -17,6 +17,7 @@ from conftest import dataset_from_rows
 from hypothesis import given, settings, strategies as st
 
 from socdfn.data import (
+    _CHUNK_CHARS,
     CSV_HEADER,
     FEATURES_HEADER,
     load_csv,
@@ -63,9 +64,13 @@ def _reference_check_row(values, line):
 
 
 def _reference_parse_floats(fields, line):
+    # A number is ASCII, holds no digit-group underscore and has no
+    # surrounding whitespace, though float() would take all three.
     values = []
     for token in fields:
         try:
+            if not token.isascii() or "_" in token or token.strip() != token:
+                raise ValueError(token)
             values.append(float(token))
         except ValueError:
             raise DataError(f"cannot parse {token!r} as a number", line=line) from None
@@ -109,7 +114,9 @@ def _reference_read_columns(path, require_soc):
 
 
 _TOKEN = {
-    "bad token": st.sampled_from(["x", "", "1.2.3", "--1", "0x10", "1e"]),
+    "bad token": st.sampled_from(
+        ["x", "", "1.2.3", "--1", "0x10", "1e", "4_2", " 1", "1 ", "\t1", "1\x1c", "\u0661"]
+    ),
     "non-finite": st.sampled_from(["nan", "NaN", "inf", "-inf", "1e400"]),
     "soc": st.sampled_from(["100.5", "-0.001", "1e3", "100.000001"]),
     "voltage": st.sampled_from(["0", "0.0", "-0.0", "-1.5"]),
@@ -166,3 +173,69 @@ def test_loader_matches_line_by_line_reference(text):
         for load, require_soc in ((load_csv, True), (load_features_csv, False)):
             expected = _outcome(lambda p: _reference_read_columns(p, require_soc), path)
             assert _outcome(load, path) == expected
+
+
+_LOADERS = ((load_csv, True), (load_features_csv, False))
+
+
+def _cycle_lines(n, seed=0):
+    """Header and n valid rows whose fields print every digit of repr()."""
+    rng = np.random.default_rng(seed)
+    rows = zip(
+        np.arange(n) + rng.uniform(0.0, 0.5, n),
+        rng.uniform(3.0, 4.2, n),
+        rng.uniform(-2.0, 1.0, n),
+        rng.uniform(20.0, 40.0, n),
+        rng.uniform(0.0, 100.0, n),
+    )
+    return [CSV_HEADER] + [",".join(repr(float(v)) for v in row) for row in rows]
+
+
+def _chunks(path):
+    """The data lines of path as _read_columns reads them, chunk by chunk."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        return list(iter(lambda: fh.readlines(_CHUNK_CHARS), []))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_chunked_file_loads_the_reference_bits(tmp_path, newline):
+    path = tmp_path / "cycle.csv"
+    path.write_bytes(newline.join(_cycle_lines(3000)).encode() + newline.encode())
+    assert len(_chunks(path)) >= 3
+    for load, require_soc in _LOADERS:
+        loaded = _outcome(load, path)
+        assert isinstance(loaded, bytes)
+        assert loaded == _outcome(lambda p: _reference_read_columns(p, require_soc), path)
+
+
+@pytest.mark.parametrize("bad", ["x", "4_2", " 1", "1 ", "\u0661", "blank line"])
+@pytest.mark.parametrize("value_fault", [None, "before", "after"])
+def test_fault_in_the_second_chunk_reports_its_line(tmp_path, bad, value_fault):
+    # The bad line sits mid-way through the second chunk; a time that
+    # decreases on the line before it is reported instead, one on the
+    # line after it is not.
+    lines = _cycle_lines(3000)
+    offset = 0
+    bad_index = 1
+    while offset < 1.5 * _CHUNK_CHARS:
+        offset += len(lines[bad_index]) + 1
+        bad_index += 1
+    if bad == "blank line":
+        lines[bad_index] = ""
+    else:
+        fields = lines[bad_index].split(",")
+        fields[2] = bad
+        lines[bad_index] = ",".join(fields)
+    if value_fault is not None:
+        fault_index = bad_index + (1 if value_fault == "after" else -1)
+        lines[fault_index] = "-1.0" + lines[fault_index][lines[fault_index].index(","):]
+    path = tmp_path / "cycle.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    chunks = _chunks(path)
+    assert len(chunks[0]) < bad_index - 1 < len(chunks[0]) + len(chunks[1])
+    reported = bad_index if value_fault != "before" else bad_index - 1
+    for load, require_soc in _LOADERS:
+        got = _outcome(load, path)
+        assert got == _outcome(lambda p: _reference_read_columns(p, require_soc), path)
+        assert got.startswith(f"DataError: line {reported + 1}: ")

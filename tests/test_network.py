@@ -2,7 +2,10 @@
 backward pass against a finite-difference oracle, dropout behaviour,
 initialization statistics and the cache-staleness contract."""
 
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from socdfn.network import (
     make_specs,
     penalty,
     predict,
+    predict_finite,
     predict_soc,
 )
 from socdfn.rng import make_rng, substream
@@ -234,7 +238,7 @@ class TestForward:
         # activation is 8 MB.
         assert peak < 2 * 2**20
 
-    def test_default_blocks_hold_little_memory(self):
+    def test_default_blocks_hold_little_memory(self, two_workers):
         net = init_network(make_specs(2, 256, 0.0), seed=3)
         x = make_rng(1).normal(size=(20_000, 3))
         tracemalloc.start()
@@ -243,16 +247,16 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Two 1024 x 256 float64 layer arrays are 4 MB; two 8192-row
-        # ones would be 32 MB.
+        # Two workers' two 512 x 256 float64 layer arrays are 4 MB; two
+        # 8192-row ones would be 32 MB.
         assert peak < 6 * 2**20
 
-    def test_every_block_shares_one_buffer_set(self, monkeypatch):
+    def test_each_worker_reuses_one_buffer_set(self, monkeypatch, two_workers):
         seen = []
         real = network.forward
 
         def spy(*args, **kwargs):
-            seen.append(kwargs.get("buffers"))
+            seen.append((threading.get_ident(), kwargs.get("buffers")))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(network, "forward", spy)
@@ -260,11 +264,15 @@ class TestForward:
         net = init_network(make_specs(2, 8, 0.0), seed=3)
         predict(net, make_rng(1).normal(size=(4000, 3)))
         assert len(seen) == 32
-        assert isinstance(seen[0], network.StepBuffers)
-        assert all(b is seen[0] for b in seen)
+        per_thread = {}
+        for thread, buffers in seen:
+            assert isinstance(buffers, network.StepBuffers)
+            assert per_thread.setdefault(thread, buffers) is buffers
+        assert len(per_thread) <= 2
+        assert len({id(b) for b in per_thread.values()}) == len(per_thread)
 
     @pytest.mark.parametrize("rows", [4500, 16385])
-    @pytest.mark.parametrize("block_rows", [128, 8192, network.INFERENCE_BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows", [128, 1024, 8192, network.INFERENCE_BLOCK_ROWS])
     def test_blocked_predict_equals_whole_forward(self, monkeypatch, rows, block_rows):
         # 16385 rows in 8192-row blocks would leave a one-row block.
         net = init_network(make_specs(2, 256, 0.0), seed=3)
@@ -671,3 +679,84 @@ class TestPredictSoc:
             NumericError, match="4 of 4 predictions are non-finite"
         ):
             predict_soc(net, self.unit_normalizer(), self.make_dataset())
+
+
+_OPENBLAS = network._openblas_thread_fns()
+
+
+class BlockFailed(Exception):
+    pass
+
+
+class TestPredictWorkers:
+    @pytest.mark.skipif(_OPENBLAS is None, reason="numpy's BLAS exposes no OpenBLAS thread count")
+    @pytest.mark.parametrize("raiser", [None, "caller", "helper"])
+    def test_blas_thread_count_is_restored(self, monkeypatch, two_busy_workers, raiser):
+        get_threads = _OPENBLAS[1]
+        before = get_threads()
+        seen = []
+        real = network.forward
+
+        def spy(*args, **kwargs):
+            seen.append(get_threads())
+            result = real(*args, **kwargs)
+            caller = threading.current_thread() is threading.main_thread()
+            if raiser == ("caller" if caller else "helper"):
+                raise BlockFailed
+            return result
+
+        monkeypatch.setattr(network, "forward", spy)
+        monkeypatch.setattr(network, "INFERENCE_BLOCK_ROWS", 128)
+        net = init_network(make_specs(2, 8, 0.0), seed=3)
+        x = make_rng(1).normal(size=(4000, 3))
+        if raiser is None:
+            np.testing.assert_array_equal(predict(net, x), forward(net, x)[0])
+        else:
+            with pytest.raises(BlockFailed):
+                predict(net, x)
+        # Each worker ran its blocks on one BLAS thread.
+        assert seen and set(seen) == {1}
+        assert get_threads() == before
+
+    def test_every_block_runs_once_on_more_workers_than_cores(self, monkeypatch):
+        # Workers share one iterator over the block indices; a block taken
+        # twice, or by none, would show in the row ranges or the bits.
+        monkeypatch.setattr(network, "_row_workers", lambda blocks: min(8, blocks))
+        monkeypatch.setattr(network, "INFERENCE_BLOCK_ROWS", 8)
+        blocks = []
+        real = network.forward
+
+        def spy(net, x, *args, **kwargs):
+            blocks.append((x[0, 0], len(x)))
+            return real(net, x, *args, **kwargs)
+
+        monkeypatch.setattr(network, "forward", spy)
+        net = init_network(make_specs(2, 8, 0.0), seed=3)
+        x = make_rng(1).normal(size=(4001, 3))
+        expected = forward(net, x)[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pred = predict(net, x)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(pred, expected)
+        # 501 blocks of 7 or 8 rows, each starting on its own row.
+        assert len({first for first, _ in blocks}) == len(blocks) == 501
+        assert sum(rows for _, rows in blocks) == len(x)
+
+    def test_overflow_in_every_worker_is_a_numeric_error(self, two_busy_workers):
+        # The network of TestPredictSoc's overflow test, over 3 blocks: the
+        # helper's blocks overflow under the errstate predict_finite entered.
+        net = tiny_net(
+            [np.full((3, 2), 1e308), [[1.0], [-1.0]]],
+            [np.zeros(2), [0.0]],
+            (LayerSpec(3, 2, "relu"), LayerSpec(2, 1, "linear")),
+        )
+        rows = 3 * network.INFERENCE_BLOCK_ROWS
+        data = dataset_from_rows([(float(i), 4.0, 1.0, 1.0, 50.0) for i in range(rows)])
+        norm = Normalizer(mean=np.zeros(3), std=np.ones(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"{rows} of {rows} predictions"):
+                predict_finite(net, norm, data)

@@ -14,34 +14,39 @@ import pytest
 from conftest import run_cli
 
 import socdfn
-from socdfn import rng, train
+from socdfn import network, rng
 
 SRC = str(Path(socdfn.__file__).parents[1])
 
 # Hashes the raw float64 bytes of predict for each row count; the first
-# line is the OpenBLAS thread count the child runs with.
+# line is the OpenBLAS thread count the child runs with. 4500, 13500 and
+# 16385 rows are 9 blocks of 500, 27 of 500 and 33 of 496-497.
 PREDICT_SCRIPT = """
 import hashlib
 from socdfn.network import init_network, make_specs, predict
 from socdfn.rng import make_rng
-from socdfn.train import _openblas_thread_fns
+from socdfn.network import _openblas_thread_fns
 
 print(_openblas_thread_fns()[1]())
 net = init_network(make_specs(2, 256, 0.0), seed=3)
-for rows in (4500, 16385):
+for rows in (4500, 13500, 16385):
     pred = predict(net, make_rng(1).normal(size=(rows, 3)))
     print(rows, hashlib.sha256(pred.tobytes()).hexdigest())
 """
 
 
-def child(argv, threads: int, cwd=None, thread_timeout=None) -> str:
+def child(argv, threads: int | None, cwd=None, thread_timeout=None) -> str:
     """stdout of a Python child with OPENBLAS_NUM_THREADS set in its env only.
 
-    OPENBLAS_THREAD_TIMEOUT is thread_timeout when given, else unset, so
-    a socdfn.cli child runs with the CLI's default.
+    threads None leaves OPENBLAS_NUM_THREADS unset, so OpenBLAS runs its
+    default count. OPENBLAS_THREAD_TIMEOUT is thread_timeout when given,
+    else unset, so a socdfn.cli child runs with the CLI's default.
     """
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
-    env.update(PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=str(threads))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_THREAD_TIMEOUT", "OPENBLAS_NUM_THREADS")}
+    env["PYTHONPATH"] = SRC
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
     if thread_timeout is not None:
         env["OPENBLAS_THREAD_TIMEOUT"] = thread_timeout
     proc = subprocess.run(
@@ -53,28 +58,32 @@ def child(argv, threads: int, cwd=None, thread_timeout=None) -> str:
 
 @pytest.fixture(scope="module")
 def predict_digests():
-    """{threads: {rows: sha256}} from one child per thread count."""
-    if train._openblas_thread_fns() is None:
+    """{threads: {rows: sha256}} from one child per thread count.
+
+    None is OpenBLAS's default count, which predict also runs as its
+    worker count; with 1 it runs its blocks serially.
+    """
+    if network._openblas_thread_fns() is None:
         pytest.skip("numpy does not link OpenBLAS, so there is no thread count to vary")
     digests = {}
-    for threads in (1, 2):
+    for threads in (1, 2, None):
         first, *lines = child(["-c", PREDICT_SCRIPT], threads).splitlines()
-        if int(first) != threads:
+        if threads is not None and int(first) != threads:
             pytest.skip(f"OpenBLAS runs {first} thread(s) when asked for {threads}")
         digests[threads] = dict(line.split() for line in lines)
     return digests
 
 
-@pytest.mark.parametrize("rows", ["4500", "16385"])
+@pytest.mark.parametrize("rows", ["4500", "13500", "16385"])
 def test_predict_bits_do_not_depend_on_blas_threads(predict_digests, rows):
-    assert predict_digests[1][rows] == predict_digests[2][rows]
+    assert predict_digests[1][rows] == predict_digests[2][rows] == predict_digests[None][rows]
 
 
 def test_crossval_report_does_not_depend_on_jobs(tmp_path):
     # --jobs 1 trains on the child's two BLAS threads, --jobs 2 caps each
     # fold worker at one. Each of the 4 folds validates on 4500 rows, and
     # the report prints every score with repr, so a last-bit change shows.
-    if train._openblas_thread_fns() is None:
+    if network._openblas_thread_fns() is None:
         pytest.skip("numpy does not link OpenBLAS, so --jobs cannot change its threads")
     code, _, err = run_cli(["gen-data", "--out", str(tmp_path / "cycle.csv")])
     assert code == 0, err

@@ -2,6 +2,7 @@
 
 import math
 import os
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from socdfn.network import (
     predict,
 )
 from socdfn.optimize import OptimizerConfig, apply_update, init_state
-from socdfn import cli, train
+from socdfn import cli, network, train
 from socdfn.modelio import cv_table
 from socdfn.rng import derive_seed, make_rng
 from socdfn.train import (
@@ -302,6 +303,17 @@ class TestFit:
         )
 
 
+    # The validation features overflow the first layer over 3 inference
+    # blocks, and the helper worker's blocks overflow under fit's errstate.
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_validation_is_a_numeric_error(self, two_busy_workers):
+        x, y = affine_batch(100, seed=1)
+        xv = np.full((3 * network.INFERENCE_BLOCK_ROWS, 3), np.finfo(np.float64).max)
+        net = init_network(make_specs(1, 8, 0.0), seed=3)
+        with pytest.raises(NumericError, match="validation loss"):
+            fit(net, x, y, xv, np.zeros(len(xv)), small_cfg(epochs=1))
+
+
 class TestCrossValidate:
     def run_cv(self, k=4, jobs=1, seed=15, n=80):
         pool = affine_dataset(n, seed=21)
@@ -360,7 +372,7 @@ class TestCrossValidate:
             assert history == expect
 
 
-_OPENBLAS = train._openblas_thread_fns()
+_OPENBLAS = network._openblas_thread_fns()
 
 
 @pytest.mark.skipif(
@@ -389,7 +401,7 @@ class TestBlasThreadsPerWorker:
         pool = affine_dataset(80, seed=21)
         specs = make_specs(hidden=1, units=8, dropout=0.0)
         cross_validate(pool, specs, 4, small_cfg(epochs=1, batch_size=16), jobs=2)
-        assert seen == [max(1, train._usable_cpus() // 2)] * 4
+        assert seen == [max(1, network._usable_cpus() // 2)] * 4
         assert get_threads() == before
 
     def test_serial_run_keeps_the_thread_count(self, monkeypatch):
@@ -414,14 +426,14 @@ class TestBlasThreadsPerWorker:
         cfg = small_cfg(optimizer=OptimizerConfig(kind="sgd", learning_rate=1e12))
         with pytest.raises(NumericError, match="diverged"):
             cross_validate(pool, specs, 2, cfg, jobs=2)
-        assert seen == [max(1, train._usable_cpus() // 2)] * 2
+        assert seen == [max(1, network._usable_cpus() // 2)] * 2
         assert get_threads() == before
 
     def test_cap_never_raises_the_process_setting(self, monkeypatch):
         set_threads, get_threads = _OPENBLAS
         seen = self.record_threads_in_fit(monkeypatch)
         before = get_threads()
-        monkeypatch.setattr(train, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(network, "_usable_cpus", lambda: 8)
         set_threads(1)
         try:
             pool = affine_dataset(80, seed=21)
@@ -431,6 +443,39 @@ class TestBlasThreadsPerWorker:
         finally:
             set_threads(before)
         assert seen == [1] * 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fold_validation_starts_no_thread(self, monkeypatch, jobs):
+        # A fold's predict runs every block on its fold thread, at the
+        # thread count cross_validate gave the folds.
+        get_threads = _OPENBLAS[1]
+        calls = []
+        real_predict, real_forward = train.predict, network.forward
+
+        def recording(kind, real):
+            def record(*args, **kwargs):
+                calls.append((kind, threading.get_ident(), get_threads()))
+                return real(*args, **kwargs)
+            return record
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a fold's predict started a thread")
+
+        monkeypatch.setattr(train, "predict", recording("predict", real_predict))
+        monkeypatch.setattr(network, "forward", recording("forward", real_forward))
+        monkeypatch.setattr(network, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(network, "INFERENCE_BLOCK_ROWS", 8)
+        before = get_threads()
+        pool = affine_dataset(80, seed=21)
+        specs = make_specs(hidden=1, units=8, dropout=0.0)
+        cross_validate(pool, specs, 2, small_cfg(epochs=2, batch_size=16), jobs=jobs)
+        predicts = [(t, n) for kind, t, n in calls if kind == "predict"]
+        blocks = [(t, n) for kind, t, n in calls if kind == "forward"]
+        # 2 folds of 2 epochs, each validating 40 rows in 5 blocks.
+        assert len(predicts) == 4 and len(blocks) == 20
+        assert {n for _, n in predicts} == {max(1, min(before, network._usable_cpus() // jobs))}
+        assert set(blocks) <= set(predicts)
+        assert get_threads() == before
 
     def test_one_allowed_cpu_gives_one_worker_of_one_thread(
         self, monkeypatch, small_cycle_csv

@@ -42,8 +42,11 @@ whose pool is the file's first rows in order, and with paper-2h at
 final one, so the report's two columns differ; `predict` on the labeled cycle and on a four-column
 feature CSV made by dropping its soc_pct column; and `evaluate`. It also
 runs `gen-data`, `predict` and `evaluate` on a 16385-row cycle, which
-`predict` cuts into 17 unequal inference blocks of 963-964 rows that
-share one set of buffers. That cycle is 4 x 4096 + 1 steps, so
+`predict` cuts into 33 inference blocks of 496-497 rows and spreads
+over as many workers as OpenBLAS has threads. `predict` and `evaluate`
+run on it again under OPENBLAS_NUM_THREADS=1, where the blocks run one
+after another, so their digests show that the predictions do not
+depend on the worker count. That cycle is 4 x 4096 + 1 steps, so
 `gen-data` steps its thermal lag as four full `battsim.LAG_CHUNK_STEPS`
 chunks and a last chunk of one step. It prints the fingerprint as `# key
 value` lines, then one `sha256  name` line per output file and per
@@ -74,7 +77,7 @@ SEEDS = (0, 1, 2)
 EPOCHS = 3
 CYCLE_SECONDS = 8000  # gen-data writes one row per second
 SHORT_CYCLE_SECONDS = 120  # under 150 steps, so the cycle has no discharge pulse
-# 17 blocks of 963-964 rows in 1024-row-max inference blocks, and a
+# 33 blocks of 496-497 rows in 512-row-max inference blocks, and a
 # thermal lag of four 4096-step chunks and a one-step chunk.
 BLOCKS_CYCLE_SECONDS = 16385
 
@@ -99,8 +102,8 @@ TRAIN_RUNS = {
 }
 
 
-def run(src: Path, workdir: Path, argv: list[str], stdout_name: str) -> None:
-    env = dict(os.environ, PYTHONPATH=str(src))
+def run(src: Path, workdir: Path, argv: list[str], stdout_name: str, **env_vars) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src), **env_vars)
     proc = subprocess.run(
         [sys.executable, "-m", "socdfn.cli", *argv],
         cwd=workdir, env=env, capture_output=True,
@@ -150,10 +153,12 @@ def run_seed(src: Path, workdir: Path, seed: int) -> None:
     run(src, workdir, ["gen-data", "--out", f"{s}-cycle-blocks.csv", "--seed", str(seed),
                        "--duration", str(BLOCKS_CYCLE_SECONDS)],
         f"{s}-gen-data-blocks.stdout")
-    run(src, workdir, ["predict", "--model", model, "--data", f"{s}-cycle-blocks.csv",
-                       "--out", f"{s}-predictions-blocks.csv"], f"{s}-predict-blocks.stdout")
-    run(src, workdir, ["evaluate", "--model", model, "--data", f"{s}-cycle-blocks.csv"],
-        f"{s}-evaluate-blocks.stdout")
+    for tag, env_vars in (("blocks", {}), ("blocks-serial", {"OPENBLAS_NUM_THREADS": "1"})):
+        run(src, workdir, ["predict", "--model", model, "--data", f"{s}-cycle-blocks.csv",
+                           "--out", f"{s}-predictions-{tag}.csv"], f"{s}-predict-{tag}.stdout",
+            **env_vars)
+        run(src, workdir, ["evaluate", "--model", model, "--data", f"{s}-cycle-blocks.csv"],
+            f"{s}-evaluate-{tag}.stdout", **env_vars)
 
 
 def fingerprint() -> dict[str, str]:
