@@ -433,6 +433,8 @@ def backward(
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
     """Inference-mode forward on an already-normalized feature matrix.
 
+    Every row is forwarded, repeated or not: fit's validation passes call
+    this directly, while predict_finite forwards each distinct row once.
     Runs in near-equal blocks of at most INFERENCE_BLOCK_ROWS rows, so
     each hidden-layer array stays cache-sized whatever the row count.
     No block has one row unless x does: numpy sends a one-row
@@ -558,15 +560,35 @@ def _blas_threads_per_worker(workers: int):
 def predict_finite(net: Network, norm: Normalizer, dataset: Dataset) -> np.ndarray:
     """Unclamped inference predictions for the dataset's normalized features.
 
+    predict_soc, evaluate and train's test score come through here, and
+    forward each distinct (voltage, current, temperature) row once: rows
+    are grouped by the bits of those values, one row of each group is
+    normalized and run through predict, and its prediction is copied to
+    the group. Equal bits give equal outputs, so the result has the bits
+    of predict over every row. When n >= 2 rows are all one row, two
+    copies run, since predict rounds a one-row input differently.
+
     Non-finite predictions, where finite weights overflowed, raise
-    NumericError, since a NaN would pass predict_soc's clamp. That error
-    reports the overflow, so numpy's own warnings about it are silenced.
+    NumericError, counted over the dataset's rows, since a NaN would
+    pass predict_soc's clamp. That error reports the overflow, so
+    numpy's own warnings about it are silenced.
     """
     if norm is None:
         raise ContractError("prediction needs a fitted normalizer")
-    x = apply_normalizer(norm, dataset)
+    features = (dataset.voltage, dataset.current, dataset.temperature)
+    keys = [column.view(np.uint64) for column in features]
+    order = np.lexsort(keys)
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for key in keys:
+        key = key[order]
+        first[1:] |= key[1:] != key[:-1]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    rows = order[first] if np.count_nonzero(first) != 1 else order[:2]
+    x = apply_normalizer(norm, Dataset(*(column[rows] for column in dataset.columns)))
     with np.errstate(over="ignore", invalid="ignore"):
-        pred = predict(net, x)
+        pred = predict(net, x)[inverse]
     bad = np.count_nonzero(~np.isfinite(pred))
     if bad:
         raise NumericError(f"{bad} of {len(pred)} predictions are non-finite")

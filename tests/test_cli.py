@@ -593,6 +593,21 @@ def test_overflow_reports_error_without_numpy_warnings(trained, tmp_path, comman
     assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_header_only_csv_is_exit_4(trained, tmp_path, command):
+    model, _ = trained
+    empty = tmp_path / "empty.csv"
+    empty.write_text(CSV_HEADER + "\n")
+    out = tmp_path / "predictions.csv"
+    argv = [command, "--model", str(model), "--data", str(empty)]
+    if command == "predict":
+        argv += ["--out", str(out)]
+    code, stdout, err = run_cli(argv)
+    assert code == 4
+    assert "no data rows" in err
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("blank_lines", [1, 3])
 def test_trailing_blank_lines_are_exit_4_without_numpy_warnings(tmp_path, blank_lines):
     # The 1025 rows of 64 characters end the first 64 KiB chunk, so the

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import dataset_from_rows, fd_gradient
 
-from socdfn.data import Normalizer
+from socdfn.data import Normalizer, apply_normalizer
 from socdfn import network
 from socdfn.errors import ConfigError, ContractError, NumericError, ShapeError
 from socdfn.network import (
@@ -31,6 +31,7 @@ from socdfn.network import (
     predict_soc,
 )
 from socdfn.rng import make_rng, substream
+from socdfn.train import evaluate
 
 
 def tiny_net(weights, biases, specs):
@@ -681,6 +682,64 @@ class TestPredictSoc:
             predict_soc(net, self.unit_normalizer(), self.make_dataset())
 
 
+class TestPredictDistinctRows:
+    UNIT = Normalizer(mean=np.zeros(3), std=np.ones(3))
+    # TestPredictSoc's overflow network: a row of positive features makes
+    # both hidden units inf and the output NaN; an all-zero row gives 0.
+    OVERFLOW_NET = tiny_net(
+        [np.full((3, 2), 1e308), [[1.0], [-1.0]]],
+        [np.zeros(2), [0.0]],
+        (LayerSpec(3, 2, "relu"), LayerSpec(2, 1, "linear")),
+    )
+
+    @staticmethod
+    def cycled(n, m):
+        """n rows whose features cycle through m distinct (V, I, T) rows."""
+        return dataset_from_rows(
+            [(float(i), 3.0 + 0.01 * (i % m), -1.0, 25.0, 50.0) for i in range(n)]
+        )
+
+    @pytest.mark.parametrize(
+        "n, m, forwarded",
+        [(1, 1, 1), (2, 1, 2), (1500, 1, 2), (1500, 2, 2), (1500, 700, 700),
+         (1500, 1500, 1500)],
+    )
+    def test_each_distinct_row_is_forwarded_once(self, monkeypatch, n, m, forwarded):
+        net = init_network(make_specs(hidden=2, units=8, dropout=0.0), seed=3)
+        data = self.cycled(n, m)
+        expected = predict(net, apply_normalizer(self.UNIT, data))
+        seen = []
+        real = network.forward
+
+        def counting(net, x, *args, **kwargs):
+            seen.append(len(x))
+            return real(net, x, *args, **kwargs)
+
+        monkeypatch.setattr(network, "forward", counting)
+        np.testing.assert_array_equal(predict_finite(net, self.UNIT, data), expected)
+        assert sum(seen) == forwarded
+        assert min(seen) >= min(n, 2)  # never a one-row block off a larger input
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_overflow_on_identical_rows_counts_every_row(self, n):
+        data = dataset_from_rows([(float(i), 4.0, 1.0, 1.0, 50.0) for i in range(n)])
+        with pytest.raises(NumericError, match=f"^{n} of {n} predictions"):
+            predict_finite(self.OVERFLOW_NET, self.UNIT, data)
+
+    def test_overflow_count_is_over_rows_not_distinct_rows(self):
+        # 7 copies of an overflowing row among 5 copies of a finite one.
+        rows = [(4.0, 1.0, 1.0)] * 7 + [(0.0, 0.0, 0.0)] * 5
+        data = dataset_from_rows([(float(i), *r, 50.0) for i, r in enumerate(rows)])
+        with pytest.raises(NumericError, match="^7 of 12 predictions"):
+            predict_finite(self.OVERFLOW_NET, self.UNIT, data)
+
+    @pytest.mark.parametrize("score", [predict_finite, predict_soc, evaluate])
+    def test_empty_dataset_is_a_config_error(self, score):
+        net = init_network(make_specs(hidden=2, units=8, dropout=0.0), seed=3)
+        with pytest.raises(ConfigError, match="dataset is empty"):
+            score(net, self.UNIT, dataset_from_rows([]))
+
+
 _OPENBLAS = network._openblas_thread_fns()
 
 
@@ -748,13 +807,17 @@ class TestPredictWorkers:
     def test_overflow_in_every_worker_is_a_numeric_error(self, two_busy_workers):
         # The network of TestPredictSoc's overflow test, over 3 blocks: the
         # helper's blocks overflow under the errstate predict_finite entered.
+        # Each row has its own voltage, since predict_finite forwards a
+        # repeated row once.
         net = tiny_net(
             [np.full((3, 2), 1e308), [[1.0], [-1.0]]],
             [np.zeros(2), [0.0]],
             (LayerSpec(3, 2, "relu"), LayerSpec(2, 1, "linear")),
         )
         rows = 3 * network.INFERENCE_BLOCK_ROWS
-        data = dataset_from_rows([(float(i), 4.0, 1.0, 1.0, 50.0) for i in range(rows)])
+        data = dataset_from_rows(
+            [(float(i), 4.0 + i, 1.0, 1.0, 50.0) for i in range(rows)]
+        )
         norm = Normalizer(mean=np.zeros(3), std=np.ones(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

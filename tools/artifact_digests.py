@@ -41,14 +41,19 @@ whose pool is the file's first rows in order, and with paper-2h at
 --lr 0.02 and --batch 16, where some folds' best val MAE is not their
 final one, so the report's two columns differ; `predict` on the labeled cycle and on a four-column
 feature CSV made by dropping its soc_pct column; and `evaluate`. It also
-runs `gen-data`, `predict` and `evaluate` on a 16385-row cycle, which
-`predict` cuts into 33 inference blocks of 496-497 rows and spreads
-over as many workers as OpenBLAS has threads. `predict` and `evaluate`
-run on it again under OPENBLAS_NUM_THREADS=1, where the blocks run one
-after another, so their digests show that the predictions do not
-depend on the worker count. That cycle is 4 x 4096 + 1 steps, so
-`gen-data` steps its thermal lag as four full `battsim.LAG_CHUNK_STEPS`
-chunks and a last chunk of one step. It prints the fingerprint as `# key
+runs `gen-data`, `predict` and `evaluate` on a 16385-row cycle, whose
+4000, 3965 and 3583 distinct (V, I, T) rows (seeds 0-2) `predict` and
+`evaluate` forward in 8, 8 and 7 inference blocks. From that cycle it
+writes a four-column feature CSV whose row i has i appended to its
+voltage's two decimals, so its 16385 rows are pairwise distinct;
+`predict` cuts it into 33 blocks of 496-497 rows. Both spread their
+blocks over as many workers as OpenBLAS has threads. Each of these
+`predict` and `evaluate` runs is repeated under OPENBLAS_NUM_THREADS=1,
+where the blocks run one after another, so their digests show that the
+predictions do not depend on the worker count. That cycle is
+4 x 4096 + 1 steps, so `gen-data` steps its thermal lag as four full
+`battsim.LAG_CHUNK_STEPS` chunks and a last chunk of one step. It
+prints the fingerprint as `# key
 value` lines, then one `sha256  name` line per output file and per
 stdout, sorted by name.
 Every command runs in the same temporary directory with bare relative
@@ -77,8 +82,9 @@ SEEDS = (0, 1, 2)
 EPOCHS = 3
 CYCLE_SECONDS = 8000  # gen-data writes one row per second
 SHORT_CYCLE_SECONDS = 120  # under 150 steps, so the cycle has no discharge pulse
-# 33 blocks of 496-497 rows in 512-row-max inference blocks, and a
-# thermal lag of four 4096-step chunks and a one-step chunk.
+# 33 blocks of 496-497 rows in 512-row-max inference blocks once its rows
+# are made distinct, and a thermal lag of four 4096-step chunks and a
+# one-step chunk.
 BLOCKS_CYCLE_SECONDS = 16385
 
 # name -> extra train flags, where {out} is the run's file-name stem. Every
@@ -153,12 +159,23 @@ def run_seed(src: Path, workdir: Path, seed: int) -> None:
     run(src, workdir, ["gen-data", "--out", f"{s}-cycle-blocks.csv", "--seed", str(seed),
                        "--duration", str(BLOCKS_CYCLE_SECONDS)],
         f"{s}-gen-data-blocks.stdout")
+    cycle = (workdir / f"{s}-cycle-blocks.csv").read_text(encoding="utf-8").splitlines()
+    # "4.18" on row 12 becomes "4.1800012": distinct rows, each within 2 mV of the cycle's.
+    distinct = [cycle[0].rsplit(",", 1)[0]]
+    for i, line in enumerate(cycle[1:]):
+        t, voltage, rest = line.rsplit(",", 1)[0].split(",", 2)
+        distinct.append(f"{t},{voltage}{i:05d},{rest}")
+    (workdir / f"{s}-features-distinct.csv").write_text(
+        "".join(line + "\n" for line in distinct), encoding="utf-8")
     for tag, env_vars in (("blocks", {}), ("blocks-serial", {"OPENBLAS_NUM_THREADS": "1"})):
         run(src, workdir, ["predict", "--model", model, "--data", f"{s}-cycle-blocks.csv",
                            "--out", f"{s}-predictions-{tag}.csv"], f"{s}-predict-{tag}.stdout",
             **env_vars)
         run(src, workdir, ["evaluate", "--model", model, "--data", f"{s}-cycle-blocks.csv"],
             f"{s}-evaluate-{tag}.stdout", **env_vars)
+        run(src, workdir, ["predict", "--model", model, "--data", f"{s}-features-distinct.csv",
+                           "--out", f"{s}-predictions-{tag}-distinct.csv"],
+            f"{s}-predict-{tag}-distinct.stdout", **env_vars)
 
 
 def fingerprint() -> dict[str, str]:
