@@ -11,6 +11,7 @@ in percentage points.
 
 import dataclasses
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -38,6 +39,21 @@ _PREDICTION_FMT = "%.3f,%.6f\n"
 MIN_WRITTEN_VOLTAGE_V = 0.005
 # Rows write_table formats per write call.
 _TABLE_CHUNK_ROWS = 4096
+# Rows write_table formats in numpy: comma-joined %.Nf with 2 * 10^N < 2^53.
+_FIXED_ROW = re.compile(r"%\.(1[0-5]|\d)f(,%\.(1[0-5]|\d)f)*\n", re.ASCII)
+_FIXED_LIMIT = 2.0**50  # a chunk with a cell's |x| * 10^N this large goes to %
+# The NUL-padded 4-byte slots _fixed_point_rows prints: sections of the
+# 3-digit groups 0-999 in full (_FULL) or with no digit above them: the 1
+# of 10^N as the point (_POINT), 0 as 0 (_UNITS) or 0 as nothing (_TOP).
+# _MINUS, _COMMA and _NEWLINE lead to a section's copy with that added.
+_FULL, _POINT, _UNITS, _TOP, _MINUS, _COMMA, _NEWLINE = 0, 1000, 2000, 3000, 2000, 6000, 8000
+_GROUPS = (lambda g: b"%03d" % g, lambda g: (b"%d" % g).replace(b"1", b".", 1) if g else b"")
+_GROUPS += (lambda g: b"%d" % g, lambda g: b"%d" % g if g else b"")
+_GROUPS += tuple(lambda g, f=f: f(g) and b"-" + f(g) for f in _GROUPS[2:])
+_GROUPS += tuple(lambda g, f=f, s=s: f(g) + s for s in (b",", b"\n") for f in _GROUPS[:2])
+# A section at a time, so the import holds few bytes objects at once.
+_SLOTS = b"".join(b"".join(f(g).ljust(4, b"\0") for g in range(1000)) for f in _GROUPS)
+_SLOTS = np.frombuffer(_SLOTS, np.uint32)
 # Characters _read_columns reads per chunk, about 1600 rows of _ROW_FMT.
 _CHUNK_CHARS = 1 << 16
 # A number is ASCII text that float() parses and that holds none of
@@ -237,20 +253,64 @@ def write_table(path, header: str, row_fmt: str, columns) -> None:
     """Write the header line, then row_fmt % row for each row of the columns.
 
     Columns of unequal length raise ShapeError before the file is opened.
-    Rows are formatted _TABLE_CHUNK_ROWS at a time, so the Python objects
-    held at once stay bounded whatever the row count. Cells reach row_fmt
-    as Python scalars, so %r prints repr(float).
+    Rows are formatted _TABLE_CHUNK_ROWS at a time, so the memory held at
+    once stays bounded whatever the row count. Chunks _fixed_point_rows
+    cannot print reach row_fmt as Python scalars, so %r prints repr(float).
     """
     columns = [np.asarray(c) for c in columns]
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ShapeError(f"table columns have unequal lengths {lengths}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+    places = [int(n) for n in re.findall(r"\d+", row_fmt)]
+    fixed = _FIXED_ROW.fullmatch(row_fmt) and len(places) == len(columns)
+    fixed = fixed and all(c.dtype == np.float64 for c in columns)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
         for start in range(0, lengths[0], _TABLE_CHUNK_ROWS):
-            part = [c[start : start + _TABLE_CHUNK_ROWS].tolist() for c in columns]
-            cells = tuple(chain.from_iterable(zip(*part)))
-            fh.write(row_fmt * len(part[0]) % cells)
+            part = [c[start : start + _TABLE_CHUNK_ROWS] for c in columns]
+            rows = _fixed_point_rows(part, places) if fixed else None
+            if rows is None:
+                cells = tuple(chain.from_iterable(zip(*(c.tolist() for c in part))))
+                rows = (row_fmt * len(part[0]) % cells).encode("utf-8")
+            fh.write(rows)
+
+
+def _fixed_point_rows(part, places) -> bytes | None:
+    """The float64 chunk's rows as %.Nf prints them, or None to leave them to %.
+
+    % rounds a cell's exact binary value to N places, half to even, and
+    np.rint(|x| * 10^N) agrees unless the product, off by at most half an
+    ulp, is within an ulp of a half, at least _FIXED_LIMIT or not finite:
+    then this returns None. A cell prints as the _SLOTS of its integer
+    part's groups, then those of 10^N + its N decimals.
+    """
+    slots = []
+    for column, n, sep in zip(part, places, [_COMMA] * (len(part) - 1) + [_NEWLINE]):
+        unit = float(10**n)
+        scaled = np.minimum(np.abs(column), _FIXED_LIMIT) * unit
+        rounded = np.rint(scaled)
+        margin = np.abs(scaled - rounded) + np.spacing(scaled)
+        if not (scaled.max() < _FIXED_LIMIT and margin.max() < 0.5):
+            return None
+        # Below 2^50 this quotient is exact enough to floor.
+        whole = np.floor(rounded / unit)
+        minus = np.signbit(column) * _MINUS
+        slots += _group_slots(whole, minus + _UNITS, minus + _TOP)
+        slots += _group_slots(rounded - whole * unit + unit * (n > 0), _POINT, _POINT)
+        slots[-1] += sep
+    rows = np.stack(slots, axis=-1, dtype=np.intp, casting="unsafe")
+    return _SLOTS.take(rows).tobytes().translate(None, b"\0")
+
+
+def _group_slots(values: np.ndarray, units_top, top) -> list:
+    """_SLOTS indices of the values' 3-digit groups, most significant first;
+    a group with no digit above it takes section top, or units_top in the units."""
+    slots = []
+    for level in range((len(str(int(values.max()))) + 2) // 3):
+        above = np.floor(values / 1000)
+        slots.insert(0, values - 1000 * above + (above == 0) * (top if level else units_top))
+        values = above
+    return slots
 
 
 def write_csv(dataset: Dataset, path) -> None:

@@ -1,8 +1,9 @@
 """Property tests of the CSV format.
 
-The format is a fixed point of write -> load -> write, and the loader
-reports the same first bad line, or loads the same bytes, as a loader
-that checks each line in turn.
+The format is a fixed point of write -> load -> write, the writer's
+numpy path writes the bytes of Python's %, and the loader reports the
+same first bad line, or loads the same bytes, as a loader that checks
+each line in turn.
 """
 
 import math
@@ -15,14 +16,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from conftest import dataset_from_rows
 from hypothesis import given, settings, strategies as st
+from test_data import reference_table, ulps_from
 
 from socdfn.data import (
     _CHUNK_CHARS,
+    _PREDICTION_FMT,
+    _ROW_FMT,
     CSV_HEADER,
     FEATURES_HEADER,
     load_csv,
     load_features_csv,
     write_csv,
+    write_table,
 )
 from socdfn.errors import DataError
 
@@ -48,6 +53,41 @@ def test_write_load_write_is_byte_identical(rows):
         write_csv(dataset_from_rows(rows), first)
         write_csv(load_csv(first), second)
         assert second.read_bytes() == first.read_bytes()
+
+
+_FIXED_FORMATS = [
+    "%.1f,%.1f\n", "%.2f,%.2f\n", "%.3f,%.3f\n", "%.6f,%.6f\n", _ROW_FMT, _PREDICTION_FMT
+]
+
+
+def _cells(places):
+    """Per table, one kind of cell: any finite float, one the numpy path
+    takes, an exact binary fraction, or one within 3 ulps of a decimal half."""
+    near_half = st.builds(
+        lambda k, steps: ulps_from((k + 0.5) / 10**places, steps),
+        st.integers(-(10**12), 10**12),
+        st.integers(-3, 3),
+    )
+    return st.sampled_from([
+        st.floats(**_FINITE),
+        st.floats(-1e6, 1e6, **_FINITE),
+        st.builds(lambda k, e: k / 2.0**e, st.integers(-(10**6), 10**6), st.integers(0, 12)),
+        near_half,
+    ])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_fixed_point_writer_matches_percent_formatting(data):
+    row_fmt = data.draw(st.sampled_from(_FIXED_FORMATS))
+    cells = data.draw(_cells(int(row_fmt[2])))  # near the first field's halves
+    n_rows = data.draw(st.integers(0, 30))
+    column = st.lists(cells, min_size=n_rows, max_size=n_rows).map(np.array)
+    columns = [data.draw(column) for _ in range(row_fmt.count("%"))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_table(path, "h", row_fmt, columns)
+        assert path.read_bytes() == reference_table("h", row_fmt, columns)
 
 
 # The loader that checked every value line by line with Python floats,

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from conftest import dataset_from_rows, rows_of
 
+from socdfn import data as data_module
+from socdfn.battsim import CellParams, CycleConfig, synth_dataset
 from socdfn.data import (
     _CSV_FIELDS,
     _PREDICTION_FMT,
     _ROW_FMT,
+    _TABLE_CHUNK_ROWS,
     CSV_HEADER,
     FEATURES_HEADER,
     MIN_WRITTEN_VOLTAGE_V,
@@ -352,6 +355,126 @@ class TestWriteTable:
         finally:
             tracemalloc.stop()
         # All 400k cells as Python floats at once would be over 12 MB.
+        assert peak < 2 * 2**20
+
+
+def ulps_from(x, steps):
+    """x moved steps ulps up (or down, for negative steps)."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, math.copysign(math.inf, steps))
+    return float(x)
+
+
+def near_halves(magnitude, places):
+    """Both signs of the floats within 3 ulps of a decimal half near magnitude."""
+    half = (math.floor(magnitude * 10**places) + 0.5) / 10**places
+    return [sign * ulps_from(half, k) for k in range(-3, 4) for sign in (1.0, -1.0)]
+
+
+def fixed_format(places, fields=1):
+    return ",".join([f"%.{places}f"] * fields) + "\n"
+
+
+@pytest.fixture
+def fixed_point_results(monkeypatch):
+    """What each write_table chunk's _fixed_point_rows call returned; None
+    means that chunk went to the Python % path."""
+    results = []
+    fixed_point_rows = data_module._fixed_point_rows
+
+    def recording(part, places):
+        results.append(fixed_point_rows(part, places))
+        return results[-1]
+
+    monkeypatch.setattr(data_module, "_fixed_point_rows", recording)
+    return results
+
+
+class TestFixedPointWriter:
+    """write_table's numpy path writes the bytes of row_fmt % row."""
+
+    def assert_written_as_reference(self, tmp_path, row_fmt, columns):
+        path = tmp_path / "t.csv"
+        write_table(path, "h", row_fmt, columns)
+        assert path.read_bytes() == reference_table("h", row_fmt, columns)
+
+    @pytest.mark.parametrize("places", range(7))
+    def test_exact_binary_halves(self, tmp_path, places):
+        values = [0.125, 2.5, -0.0625, 0.5, 1.5, -2.5, 0.375, 1023.5, 2.0**-20]
+        self.assert_written_as_reference(tmp_path, fixed_format(places), [values])
+
+    @pytest.mark.parametrize("places", [0, 3, 6])
+    def test_zeros_and_tiny_negatives_keep_their_sign(self, tmp_path, places):
+        values = [0.0, -0.0, -0.0001, -0.0004999, -1e-300, -5e-324, 5e-324, 0.4]
+        self.assert_written_as_reference(tmp_path, fixed_format(places), [values])
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[2] == "-0" + ("." + "0" * places if places else "")
+
+    @pytest.mark.parametrize("places", [1, 2, 3, 6])
+    @pytest.mark.parametrize("magnitude", [1.0, 1e6, 1e12])
+    def test_values_within_ulps_of_a_half(self, tmp_path, magnitude, places):
+        values = near_halves(magnitude, places)
+        self.assert_written_as_reference(tmp_path, fixed_format(places), [values])
+
+    @pytest.mark.parametrize("places", [0, 1, 3, 6])
+    def test_values_near_the_exact_range_limits(self, tmp_path, places):
+        values = [1e300, -1e300, np.finfo(np.float64).max]
+        for power in (50, 53):
+            edge = 2.0**power / 10**places
+            values += [ulps_from(edge, k) for k in range(-3, 4)]
+        self.assert_written_as_reference(tmp_path, fixed_format(places), [values])
+
+    @pytest.mark.parametrize("row_fmt", [_ROW_FMT, _PREDICTION_FMT, "%.3f\n"])
+    def test_non_finite_cells(self, tmp_path, row_fmt):
+        fields = row_fmt.count("%")
+        columns = [[1.5, np.nan, np.inf, -np.inf, -2.25]] * fields
+        self.assert_written_as_reference(tmp_path, row_fmt, columns)
+
+    @pytest.mark.parametrize("places", [0, 3])
+    def test_integer_column(self, tmp_path, places):
+        columns = [np.arange(-3, 4), np.linspace(-1.0, 1.0, 7)]
+        self.assert_written_as_reference(tmp_path, fixed_format(places, 2), columns)
+
+    def test_whole_numbers_without_a_point(self, tmp_path, fixed_point_results):
+        values = np.array([0.4, -0.4, 0.6, 1234.7, -98765.2, 1e9 + 0.3])
+        self.assert_written_as_reference(tmp_path, "%.0f,%.3f\n", [values, values])
+        assert all(isinstance(rows, bytes) for rows in fixed_point_results)
+
+    def test_no_rows(self, tmp_path):
+        self.assert_written_as_reference(tmp_path, _ROW_FMT, [np.empty(0)] * 5)
+
+    def test_only_the_chunk_that_needs_it_goes_to_the_python_path(
+        self, tmp_path, fixed_point_results
+    ):
+        n = 2 * _TABLE_CHUNK_ROWS + 100
+        columns = [np.linspace(-50.0, 50.0, n) + 0.0001, np.arange(n) * 0.01]
+        columns[1][_TABLE_CHUNK_ROWS + 7] = 0.125
+        self.assert_written_as_reference(tmp_path, "%.4f,%.2f\n", columns)
+        assert [rows is None for rows in fixed_point_results] == [False, True, False]
+
+    @pytest.mark.parametrize("writer", ["write_csv", "write_predictions_csv"])
+    def test_stock_cycle_formats_no_chunk_on_the_python_path(
+        self, tmp_path, fixed_point_results, writer
+    ):
+        dataset = synth_dataset(CellParams(), CycleConfig())
+        if writer == "write_csv":
+            write_csv(dataset, tmp_path / "t.csv")
+        else:
+            write_predictions_csv(dataset.t, dataset.soc, tmp_path / "t.csv")
+        assert len(fixed_point_results) == math.ceil(len(dataset) / _TABLE_CHUNK_ROWS)
+        assert all(isinstance(rows, bytes) for rows in fixed_point_results)
+
+    def test_csv_write_holds_a_bounded_chunk(self, tmp_path):
+        n = 200_000
+        t = np.arange(n, dtype=np.float64)
+        dataset = Dataset(t, 4.2 - t * 6e-6, -np.abs(np.sin(t)), 25.0 + t * 1e-5, t * 5e-4)
+        tracemalloc.start()
+        try:
+            write_csv(dataset, tmp_path / "c.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The whole table as one character matrix would be over 10 MB.
         assert peak < 2 * 2**20
 
 

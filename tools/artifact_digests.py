@@ -27,7 +27,8 @@ one host can also be diffed by hand:
 
 For each seed it runs `gen-data`, also on a cycle too short for a
 discharge pulse; `train` with both presets (paper-2h also with
---emit-gnuplot, --save-train and --save-val), sgd, rmsprop, --l1/--l2,
+--emit-gnuplot, --save-train and --save-val, and every train run with
+--save-test), sgd, rmsprop, --l1/--l2,
 dropout with --loss mae, --no-shuffle, --batch 96, whose 6400-row
 training split ends each epoch on a short batch of 64 rows
 (6400 = 66 x 96 + 64) where the other runs' batches of 128 divide it,
