@@ -42,18 +42,13 @@ _TABLE_CHUNK_ROWS = 4096
 # Rows write_table formats in numpy: comma-joined %.Nf with 2 * 10^N < 2^53.
 _FIXED_ROW = re.compile(r"%\.(1[0-5]|\d)f(,%\.(1[0-5]|\d)f)*\n", re.ASCII)
 _FIXED_LIMIT = 2.0**50  # a chunk with a cell's |x| * 10^N this large goes to %
-# The NUL-padded 4-byte slots _fixed_point_rows prints: sections of the
-# 3-digit groups 0-999 in full (_FULL) or with no digit above them: the 1
-# of 10^N as the point (_POINT), 0 as 0 (_UNITS) or 0 as nothing (_TOP).
-# _MINUS, _COMMA and _NEWLINE lead to a section's copy with that added.
-_FULL, _POINT, _UNITS, _TOP, _MINUS, _COMMA, _NEWLINE = 0, 1000, 2000, 3000, 2000, 6000, 8000
-_GROUPS = (lambda g: b"%03d" % g, lambda g: (b"%d" % g).replace(b"1", b".", 1) if g else b"")
-_GROUPS += (lambda g: b"%d" % g, lambda g: b"%d" % g if g else b"")
-_GROUPS += tuple(lambda g, f=f: f(g) and b"-" + f(g) for f in _GROUPS[2:])
-_GROUPS += tuple(lambda g, f=f, s=s: f(g) + s for s in (b",", b"\n") for f in _GROUPS[:2])
-# A section at a time, so the import holds few bytes objects at once.
-_SLOTS = b"".join(b"".join(f(g).ljust(4, b"\0") for g in range(1000)) for f in _GROUPS)
-_SLOTS = np.frombuffer(_SLOTS, np.uint32)
+# The NUL-padded 4-byte slots _fixed_point_rows prints. Slot 3 * g + section
+# holds the 3-digit group g in full (_FULL), as the point and decimals of
+# 10^N + decimals (_POINT) or with no digit above it (_TOP), 0 as nothing.
+_FULL, _POINT, _TOP = 0, 1, 2
+_SLOTS = [(g, (b"%d" % g).lstrip(b"0")) for g in range(1000)]
+_SLOTS = b"".join(b"%03d %-4b%4b" % (g, d.replace(b"1", b".", 1), d) for g, d in _SLOTS)
+_SLOTS = np.frombuffer(_SLOTS.replace(b" ", b"\0"), np.uint32)
 # Characters _read_columns reads per chunk, about 1600 rows of _ROW_FMT.
 _CHUNK_CHARS = 1 << 16
 # A number is ASCII text that float() parses and that holds none of
@@ -199,7 +194,6 @@ def _parse_chunk(lines, n_fields: int, first_line: int, flat: array) -> DataErro
         if token is not None:
             return DataError(f"cannot parse {token!r} as a number", line=line_no)
         flat.extend(map(float, fields))
-    return None
 
 
 def _is_plain(text: str) -> bool:
@@ -282,10 +276,13 @@ def _fixed_point_rows(part, places) -> bytes | None:
     np.rint(|x| * 10^N) agrees unless the product, off by at most half an
     ulp, is within an ulp of a half, at least _FIXED_LIMIT or not finite:
     then this returns None. A cell prints as the _SLOTS of its integer
-    part's groups, then those of 10^N + its N decimals.
+    part's groups, then those of 10^N + its N decimals. _TOP slots are
+    right-aligned and the others left-aligned, so the NUL first byte of a
+    cell's first slot takes its minus, the last byte of its last integer
+    slot the 0 of a 0 integer part, and that of its last slot the separator.
     """
-    slots = []
-    for column, n, sep in zip(part, places, [_COMMA] * (len(part) - 1) + [_NEWLINE]):
+    slots, marks = [], []
+    for column, n, sep in zip(part, places, b"," * (len(part) - 1) + b"\n"):
         unit = float(10**n)
         scaled = np.minimum(np.abs(column), _FIXED_LIMIT) * unit
         rounded = np.rint(scaled)
@@ -294,23 +291,27 @@ def _fixed_point_rows(part, places) -> bytes | None:
             return None
         # Below 2^50 this quotient is exact enough to floor.
         whole = np.floor(rounded / unit)
-        minus = np.signbit(column) * _MINUS
-        slots += _group_slots(whole, minus + _UNITS, minus + _TOP)
-        slots += _group_slots(rounded - whole * unit + unit * (n > 0), _POINT, _POINT)
-        slots[-1] += sep
-    rows = np.stack(slots, axis=-1, dtype=np.intp, casting="unsafe")
-    return _SLOTS.take(rows).tobytes().translate(None, b"\0")
+        marks.append((4 * len(slots), np.signbit(column) * np.uint8(ord("-"))))
+        slots += _group_slots(whole, _TOP)
+        marks.append((4 * len(slots) - 1, (whole == 0) * np.uint8(ord("0"))))
+        slots += _group_slots(rounded - whole * unit + unit * (n > 0), _POINT)
+        marks.append((4 * len(slots) - 1, sep))
+    slots = np.stack(slots, axis=-1, dtype=np.intp, casting="unsafe")
+    chars = _SLOTS.take(slots).view(np.uint8)
+    for at, mark in marks:
+        chars[:, at] |= mark
+    return chars.tobytes().translate(None, b"\0")
 
 
-def _group_slots(values: np.ndarray, units_top, top) -> list:
+def _group_slots(values: np.ndarray, top) -> list:
     """_SLOTS indices of the values' 3-digit groups, most significant first;
-    a group with no digit above it takes section top, or units_top in the units."""
+    a group with no digit above it, as every first group, takes section top."""
     slots = []
-    for level in range((len(str(int(values.max()))) + 2) // 3):
+    for _ in range((len(str(int(values.max()))) - 1) // 3):
         above = np.floor(values / 1000)
-        slots.insert(0, values - 1000 * above + (above == 0) * (top if level else units_top))
+        slots.insert(0, 3 * (values - 1000 * above) + (above == 0) * top)
         values = above
-    return slots
+    return [3 * values + top] + slots
 
 
 def write_csv(dataset: Dataset, path) -> None:

@@ -454,15 +454,12 @@ def predict(net: Network, x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     pred = np.empty(n, dtype=np.float64)
     blocks = max(1, -(-n // INFERENCE_BLOCK_ROWS))
-    size, larger = divmod(n, blocks)
-    todo = iter(range(blocks))
+    todo = zip(np.array_split(x, blocks), np.array_split(pred, blocks))
 
     def run_blocks():
         buffers = StepBuffers()
-        for j in todo:
-            start = j * size + min(j, larger)
-            rows = slice(start, start + size + (j < larger))
-            pred[rows], _ = forward(net, x[rows], mode="inference", buffers=buffers)
+        for rows, out in todo:
+            out[:], _ = forward(net, rows, mode="inference", buffers=buffers)
 
     workers = _row_workers(blocks)
     if workers == 1:

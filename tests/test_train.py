@@ -500,6 +500,36 @@ class TestBlasThreadsPerWorker:
         assert seen == [1] * 2
 
 
+class TestWithoutOpenBLAS:
+    """README: a numpy on another BLAS keeps that BLAS's thread count and
+    runs predict's blocks serially."""
+
+    @pytest.fixture(autouse=True)
+    def other_blas(self, monkeypatch):
+        # Callers look the function up by module name, so this reaches them.
+        monkeypatch.setattr(network, "_openblas_thread_fns", lambda: None)
+
+    def test_predict_has_one_worker(self):
+        assert network._row_workers(8) == 1
+
+    def test_predict_runs_its_blocks_serially(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("predict started a thread")
+
+        monkeypatch.setattr(network, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(network, "INFERENCE_BLOCK_ROWS", 128)
+        net = init_network(make_specs(2, 8, 0.0), seed=3)
+        x = make_rng(1).normal(size=(4000, 3))
+        np.testing.assert_array_equal(predict(net, x), forward(net, x)[0])
+
+    def test_threaded_crossval_matches_serial(self):
+        pool = affine_dataset(80, seed=21)
+        specs = make_specs(hidden=1, units=8, dropout=0.0)
+        cfg = small_cfg(epochs=2, batch_size=16, seed=15)
+        serial = cross_validate(pool, specs, 4, cfg, jobs=1)
+        assert cross_validate(pool, specs, 4, cfg, jobs=2) == serial
+
+
 class TestEvaluate:
     def test_constant_predictor_gives_mean_deviation(self):
         test = affine_dataset(30, seed=40)
